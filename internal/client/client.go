@@ -752,13 +752,19 @@ func (s *Session) GetCtx(ctx context.Context, key uint64, dst []byte) (bool, err
 }
 
 // waitMsFrom converts ctx's remaining budget to the wire's wait field
-// (0 = no deadline, wait forever).
+// (0 = no deadline, wait forever). The server starts its timer when the
+// frame arrives, after the caller's, so the budget is cut by a tenth (at
+// least 1 ms): the server gives up, and says so, before the caller stops
+// listening. Otherwise a read still stalled on the server past the
+// caller's deadline can take a staleness token the caller has already
+// abandoned — once another session's Put releases the key.
 func waitMsFrom(ctx context.Context) uint32 {
 	d, ok := ctx.Deadline()
 	if !ok {
 		return 0
 	}
 	ms := time.Until(d).Milliseconds()
+	ms -= max(1, ms/10)
 	if ms <= 0 {
 		return 1
 	}

@@ -56,10 +56,6 @@ func (t *Table) StoreStats() faster.StatsSnapshot {
 	return sum
 }
 
-// batchFanoutMin is the batch size below which cross-shard batches run
-// serially: goroutine spawn costs more than a handful of routed operations.
-const batchFanoutMin = 16
-
 // groupByShard buckets indices of keys by owning shard into the session's
 // reusable group buffers. idxs selects a subset of key positions (the
 // hot-tier miss set); nil means every key.

@@ -69,7 +69,7 @@ func TestShardedBatchRoundTrip(t *testing.T) {
 		shards  = 4
 		workers = 4
 		batches = 40
-		batch   = 64 // >= batchFanoutMin so the parallel fan-out runs
+		batch   = 64 // >= util.BatchFanoutMin so the parallel fan-out runs
 	)
 	// ASP: the vector clock is exercised but never blocks. A finite bound
 	// would deadlock this access pattern by design: Zipf batches repeat hot

@@ -595,7 +595,7 @@ func (s *Session) GetBatchCtx(ctx context.Context, keys []uint64, dst []float32)
 	if miss != nil {
 		n = len(miss)
 	}
-	if len(s.t.stores) == 1 || n < batchFanoutMin || faster.BlockingBound(bound) {
+	if len(s.t.stores) == 1 || n < util.BatchFanoutMin || faster.BlockingBound(bound) {
 		if miss == nil {
 			for i, k := range keys {
 				if err := readOne(s.t.shardOf(k), i); err != nil {
@@ -673,7 +673,7 @@ func (s *Session) PutBatch(keys []uint64, vals []float32) error {
 	}
 	s.t.batchPuts.Add(1)
 	dim := s.t.dim
-	if len(s.t.stores) == 1 || len(keys) < batchFanoutMin {
+	if len(s.t.stores) == 1 || len(keys) < util.BatchFanoutMin {
 		for i, k := range keys {
 			if err := s.putOn(s.t.shardOf(k), k, vals[i*dim:(i+1)*dim]); err != nil {
 				return err

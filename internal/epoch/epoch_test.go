@@ -187,3 +187,70 @@ func TestProtectedFlag(t *testing.T) {
 	}
 	s.Unregister()
 }
+
+// TestBumpFromOtherGoroutineDrainsOnUnprotect: an action queued by another
+// goroutine while a session is protected runs on that session's
+// Unprotect, with no Drain call — the lock-free fast path in tryDrain
+// must not skip an action that became pending while the session held
+// protection.
+func TestBumpFromOtherGoroutineDrainsOnUnprotect(t *testing.T) {
+	m := NewManager(4)
+	s := m.Register()
+	defer s.Unregister()
+	for i := 0; i < 100; i++ {
+		s.Protect()
+		var ran atomic.Bool
+		done := make(chan struct{})
+		go func() {
+			m.BumpWith(func() { ran.Store(true) })
+			close(done)
+		}()
+		<-done
+		if ran.Load() {
+			t.Fatal("action ran while the session was protected at an older epoch")
+		}
+		s.Unprotect()
+		if !ran.Load() {
+			t.Fatalf("iteration %d: action still pending after Unprotect", i)
+		}
+	}
+}
+
+// TestNoLostDrainUnderRace races sessions' Unprotect against BumpWith on
+// other goroutines. Without any Drain call, once everyone has stopped
+// every action must have run: whichever side acted last saw the other.
+func TestNoLostDrainUnderRace(t *testing.T) {
+	m := NewManager(8)
+	const (
+		sessions = 3
+		bumpers  = 2
+		iters    = 3000
+	)
+	var executed atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < sessions; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := m.Register()
+			defer s.Unregister()
+			for i := 0; i < iters; i++ {
+				s.Protect()
+				s.Unprotect()
+			}
+		}()
+	}
+	for w := 0; w < bumpers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters/10; i++ {
+				m.BumpWith(func() { executed.Add(1) })
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := executed.Load(), int64(bumpers*(iters/10)); got != want {
+		t.Fatalf("executed %d actions without a Drain, want %d", got, want)
+	}
+}

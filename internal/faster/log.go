@@ -158,16 +158,34 @@ func (l *hybridLog) frameFor(p int64) *frame {
 // failed: no further page can ever be recycled, so the append side of the
 // log is permanently down and every caller must see the error.
 func (l *hybridLog) allocate(s *epoch.Session) (uint64, error) {
-	addr := l.nextAddr.Add(1) - 1
-	p := l.pageOf(addr)
-	if l.slotOf(addr) == 0 {
-		if err := l.openPage(p, s); err != nil {
+	for {
+		addr := l.nextAddr.Add(1) - 1
+		p := l.pageOf(addr)
+		if l.slotOf(addr) == 0 {
+			if err := l.openPage(p, s); err != nil {
+				return 0, err
+			}
+			return addr, nil
+		}
+		if l.frameFor(p).holds.Load() == p {
+			return addr, nil
+		}
+		if err := l.waitPageReady(p, s); err != nil {
 			return 0, err
 		}
-	} else if err := l.waitPageReady(p, s); err != nil {
-		return 0, err
+		// waitPageReady refreshed the session, so the protection it held
+		// when it took addr is gone. If page p was frozen meanwhile, one
+		// of those refreshes may have released p's flush: the flusher can
+		// be copying the page now, and a record written into it would race
+		// the copy and be missing on disk. Abandon the slot — openPage left
+		// it all zero, which recovery skips as a gap — and take another.
+		// (A freeze that happens after the last refresh waits for this
+		// session's next one, which comes after the record is written.)
+		if addr >= l.roAddr.Load() {
+			return addr, nil
+		}
+		l.stats.AbandonedAppends.Add(1)
 	}
-	return addr, nil
 }
 
 // openPage is run by the allocator that received the first slot of page p.
@@ -220,12 +238,14 @@ func (l *hybridLog) openPage(p int64, s *epoch.Session) error {
 		l.frameMu.Unlock()
 	}
 
-	// 3. Reset and publish.
+	// 3. Reset and publish. Values are cleared too, so a slot abandoned
+	// by allocate reaches the file as an all-zero record.
 	for i := range f.hdrs {
 		f.hdrs[i].Store(0)
 	}
 	clearUint64(f.keys)
 	clearUint64(f.prevs)
+	clear(f.vals)
 	f.freed.Store(false)
 	f.holds.Store(p)
 	l.broadcastFrames()

@@ -137,7 +137,8 @@ func TestGenerationMonotonic(t *testing.T) {
 	for i := 1; i < 50; i++ {
 		s.Put(1, val(8, uint64(i)))
 		s.es.Protect()
-		hit, _ := s.findKey(1, false)
+		var hit chainHit
+		s.findKey(&hit, 1, false)
 		gen := Generation(hit.f.hdrs[hit.slot].Load())
 		s.es.Unprotect()
 		if gen <= last {

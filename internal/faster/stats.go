@@ -2,16 +2,11 @@ package faster
 
 import "sync/atomic"
 
-// Stats holds the store's operation counters. All fields are updated with
-// atomics on the hot path and read via snapshot.
+// Stats holds the store's shared counters: the ones bumped off the
+// per-key hot path (disk reads, appends, flushes), updated with atomics.
+// The per-operation counters live in slotCounters instead.
 type Stats struct {
-	Gets             atomic.Int64
-	Puts             atomic.Int64
-	RMWs             atomic.Int64
-	Deletes          atomic.Int64
-	MemHits          atomic.Int64
 	DiskReads        atomic.Int64
-	InPlaceUpdates   atomic.Int64
 	RCUAppends       atomic.Int64
 	PrefetchCopies   atomic.Int64
 	AbandonedAppends atomic.Int64
@@ -41,15 +36,44 @@ type StatsSnapshot struct {
 	FlushPaceStalls  int64
 }
 
-func (s *Stats) snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		Gets:             s.Gets.Load(),
-		Puts:             s.Puts.Load(),
-		RMWs:             s.RMWs.Load(),
-		Deletes:          s.Deletes.Load(),
-		MemHits:          s.MemHits.Load(),
+// opCounts are the per-operation counters a session accumulates during
+// one call, in plain fields, before publishing them to its slot.
+type opCounts struct {
+	gets, puts, rmws, deletes, memHits, inPlaceUpdates int64
+}
+
+// slotCounters are one epoch slot's published operation counters, padded
+// to a cache line. Only the session holding the slot writes them — with a
+// load and a store, not a locked add, since there is no other writer — so
+// sessions on different cores never contend for a counter line. The
+// counters are never reset: a session reusing a slot continues its
+// predecessor's totals, so the sum over slots stays exact.
+type slotCounters struct {
+	gets, puts, rmws, deletes, memHits, inPlaceUpdates atomic.Int64
+	_                                                  [2]uint64
+}
+
+// publish adds c to the slot's counters and zeroes c.
+func (sc *slotCounters) publish(c *opCounts) {
+	addOwned(&sc.gets, c.gets)
+	addOwned(&sc.puts, c.puts)
+	addOwned(&sc.rmws, c.rmws)
+	addOwned(&sc.deletes, c.deletes)
+	addOwned(&sc.memHits, c.memHits)
+	addOwned(&sc.inPlaceUpdates, c.inPlaceUpdates)
+	*c = opCounts{}
+}
+
+// addOwned adds n to a counter that has a single writer.
+func addOwned(dst *atomic.Int64, n int64) {
+	if n != 0 {
+		dst.Store(dst.Load() + n)
+	}
+}
+
+func (s *Stats) snapshot(slots []slotCounters) StatsSnapshot {
+	snap := StatsSnapshot{
 		DiskReads:        s.DiskReads.Load(),
-		InPlaceUpdates:   s.InPlaceUpdates.Load(),
 		RCUAppends:       s.RCUAppends.Load(),
 		PrefetchCopies:   s.PrefetchCopies.Load(),
 		AbandonedAppends: s.AbandonedAppends.Load(),
@@ -59,6 +83,16 @@ func (s *Stats) snapshot() StatsSnapshot {
 		GroupCommits:     s.GroupCommits.Load(),
 		FlushPaceStalls:  s.FlushPaceStalls.Load(),
 	}
+	for i := range slots {
+		sc := &slots[i]
+		snap.Gets += sc.gets.Load()
+		snap.Puts += sc.puts.Load()
+		snap.RMWs += sc.rmws.Load()
+		snap.Deletes += sc.deletes.Load()
+		snap.MemHits += sc.memHits.Load()
+		snap.InPlaceUpdates += sc.inPlaceUpdates.Load()
+	}
+	return snap
 }
 
 // Add returns the element-wise sum a+b (for merging per-shard snapshots

@@ -99,7 +99,8 @@ type Store struct {
 	ix    *index
 	log   *hybridLog
 	stats Stats
-	bound atomic.Int64 // current staleness bound (mutable at runtime)
+	ctrs  []slotCounters // per-operation counters, one per epoch slot
+	bound atomic.Int64   // current staleness bound (mutable at runtime)
 }
 
 // Open creates or opens a store in cfg.Dir. If a checkpoint exists it is
@@ -117,6 +118,7 @@ func Open(cfg Config) (*Store, error) {
 	st := &Store{cfg: cfg}
 	st.bound.Store(cfg.StalenessBound)
 	st.em = epoch.NewManager(cfg.MaxSessions)
+	st.ctrs = make([]slotCounters, cfg.MaxSessions)
 	st.ix = newIndex(cfg.IndexBuckets)
 	var err error
 	st.log, err = newHybridLog(filepath.Join(cfg.Dir, "hlog.dat"), cfg.ValueSize,
@@ -160,7 +162,7 @@ func (st *Store) StalenessBound() int64 { return st.bound.Load() }
 func BlockingBound(bound int64) bool { return bound >= 0 && bound != BoundAsync }
 
 // Stats returns a snapshot of operation counters.
-func (st *Store) Stats() StatsSnapshot { return st.stats.snapshot() }
+func (st *Store) Stats() StatsSnapshot { return st.stats.snapshot(st.ctrs) }
 
 // MemoryBytes reports the approximate in-memory footprint of the log frames.
 func (st *Store) MemoryBytes() int64 {
@@ -173,7 +175,10 @@ func (st *Store) MemoryBytes() int64 {
 type Session struct {
 	st      *Store
 	es      *epoch.Session
+	ctr     *slotCounters // this session's slot's published counters
+	n       opCounts      // counts of the call in progress
 	scratch []byte
+	sink    uint64 // keeps the probe's loads observable
 }
 
 // NewSession registers a session. It returns an error if MaxSessions are
@@ -183,11 +188,18 @@ func (st *Store) NewSession() (*Session, error) {
 	if es == nil {
 		return nil, errors.New("faster: too many sessions")
 	}
-	return &Session{st: st, es: es, scratch: make([]byte, st.cfg.ValueSize)}, nil
+	return &Session{st: st, es: es, ctr: &st.ctrs[es.Slot()], scratch: make([]byte, st.cfg.ValueSize)}, nil
 }
 
 // Close unregisters the session.
 func (s *Session) Close() { s.es.Unregister() }
+
+// end closes a protected call: it publishes the call's counters to the
+// session's slot and drops protection.
+func (s *Session) end() {
+	s.ctr.publish(&s.n)
+	s.es.Unprotect()
+}
 
 // Address regions, newest to oldest.
 type region int
@@ -235,9 +247,11 @@ type chainHit struct {
 	diskRec  diskRecord // set for disk hits
 }
 
-// findKey walks the hash chain for key. Must be called under protection.
-// create controls whether a missing index entry is established.
-func (s *Session) findKey(key uint64, create bool) (chainHit, error) {
+// findKey walks the hash chain for key into hit (filled in place: the
+// struct is too large to return cheaply on the per-key path). Must be
+// called under protection. create controls whether a missing index entry
+// is established.
+func (s *Session) findKey(hit *chainHit, key uint64, create bool) error {
 	st := s.st
 	hash := util.HashKey(key)
 	var entry *atomic.Uint64
@@ -246,23 +260,24 @@ func (s *Session) findKey(key uint64, create bool) (chainHit, error) {
 	} else {
 		entry = st.ix.find(hash)
 		if entry == nil {
-			return chainHit{}, nil
+			*hit = chainHit{}
+			return nil
 		}
 	}
 	ev := entry.Load()
-	hit := chainHit{entry: entry, entryVal: ev, addr: entryAddr(ev)}
+	*hit = chainHit{entry: entry, entryVal: ev, addr: entryAddr(ev)}
 	addr := hit.addr
 	for addr != InvalidAddr {
 		reg := st.regionOf(addr)
 		if reg == regionDisk {
 			rec, err := st.log.readDisk(addr, s.scratch)
 			if err != nil {
-				return chainHit{}, err
+				return err
 			}
 			if rec.key == key {
 				hit.addr, hit.reg, hit.diskRec = addr, regionDisk, rec
 				hit.tomb = isTombstone(rec.prev)
-				return hit, nil
+				return nil
 			}
 			addr = prevAddr(rec.prev)
 			continue
@@ -276,16 +291,105 @@ func (s *Session) findKey(key uint64, create bool) (chainHit, error) {
 		if f.keys[slot] == key {
 			hit.addr, hit.reg, hit.f, hit.slot = addr, reg, f, slot
 			hit.tomb = isTombstone(f.prevs[slot])
-			return hit, nil
+			return nil
 		}
 		addr = prevAddr(f.prevs[slot])
 	}
 	hit.addr = InvalidAddr
-	return hit, nil
+	return nil
 }
 
-// ErrValueSize is returned when a caller buffer does not match ValueSize.
+// ErrValueSize is returned when a caller buffer does not match ValueSize
+// (for a batch: when vals is not len(keys) × ValueSize bytes or found is
+// not len(keys) long).
 var ErrValueSize = errors.New("faster: buffer length must equal ValueSize")
+
+// Batch shape. A batch refreshes its epoch protection every
+// batchRefreshKeys keys, so a long batch holds back epoch drains (page
+// recycling, read-only boundary moves) no longer than a short one would.
+// probeWindow keys at a time have their index buckets and chain-head
+// records loaded together before any of them runs (see probe). Refreshes
+// fall between windows, so batchRefreshKeys is a multiple of probeWindow.
+const (
+	batchRefreshKeys = 32
+	probeWindow      = 16
+)
+
+// groupLen and groupAt address a batch group: the positions idxs selects
+// in the caller's keys, or every position when idxs is nil.
+func groupLen(keys []uint64, idxs []int) int {
+	if idxs == nil {
+		return len(keys)
+	}
+	return len(idxs)
+}
+
+func groupAt(idxs []int, j int) int {
+	if idxs == nil {
+		return j
+	}
+	return idxs[j]
+}
+
+// eachWindow runs fn over the group's positions window by window, with
+// the refresh and probe a batch owes between windows. The caller holds
+// protection.
+func (s *Session) eachWindow(keys []uint64, idxs []int, fn func(i int) error) error {
+	n := groupLen(keys, idxs)
+	for w := 0; w < n; w += probeWindow {
+		end := min(w+probeWindow, n)
+		if w > 0 && w%batchRefreshKeys == 0 {
+			s.es.Refresh()
+		}
+		s.probe(keys, idxs, w, end)
+		for j := w; j < end; j++ {
+			if err := fn(groupAt(idxs, j)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// probe warms the lines the group's positions [w, end) will touch first:
+// every key's index bucket, then each chain head's key and header word.
+// The loads within a pass are independent, so their cache misses overlap
+// instead of forming the serial bucket → key → header chain that findKey
+// pays per key. It changes nothing; the per-key protocol that follows
+// re-resolves every key itself.
+//
+// Probe rule: a probe loads only words that are atomically published or
+// written before the index CAS that makes a record reachable — index
+// entries, keys, and headers via Load. It never loads value bytes, which
+// in-place writers change under the record lock. The caller holds
+// protection, so a frame at or above the head boundary stays
+// materialized while the probe runs.
+func (s *Session) probe(keys []uint64, idxs []int, w, end int) {
+	ix := s.st.ix
+	var hashes, heads [probeWindow]uint64
+	var sink uint64
+	for j := w; j < end; j++ {
+		h := util.HashKey(keys[groupAt(idxs, j)])
+		hashes[j-w] = h
+		sink += ix.buckets[h&ix.mask].entries[0].Load()
+	}
+	for j := w; j < end; j++ {
+		if e := ix.find(hashes[j-w]); e != nil {
+			heads[j-w] = entryAddr(e.Load())
+		}
+	}
+	head := s.st.log.headAddr.Load()
+	for j := w; j < end; j++ {
+		addr := heads[j-w]
+		if addr == InvalidAddr || addr < head {
+			continue
+		}
+		if f, slot := s.st.memRecord(addr); f != nil {
+			sink += f.keys[slot] + f.hdrs[slot].Load()
+		}
+	}
+	s.sink += sink
+}
 
 // Get reads the value for key into dst. Under bounded-staleness consistency
 // it implements the paper's protocol: wait until the record's staleness
@@ -307,24 +411,63 @@ func (s *Session) GetCtx(ctx context.Context, key uint64, dst []byte) (bool, err
 	if len(dst) != s.st.cfg.ValueSize {
 		return false, ErrValueSize
 	}
-	s.st.stats.Gets.Add(1)
 	bound := s.st.bound.Load()
 	s.es.Protect()
-	defer s.es.Unprotect()
+	defer s.end()
+	return s.get(ctx, key, dst, bound)
+}
+
+// GetBatch reads a group of keys under one epoch protection. idxs selects
+// the positions of keys to read (nil: all of them); the value of keys[i]
+// lands in vals[i*ValueSize:(i+1)*ValueSize] and its presence in
+// found[i], and a missing key's value slot is zeroed. Every key follows
+// GetCtx's protocol, in group order, so the outcome equals one GetCtx per
+// key; the batch only amortizes protection and counter publication and
+// overlaps the keys' index and record cache misses. On error, positions
+// after the failing key are left untouched.
+func (s *Session) GetBatch(ctx context.Context, keys []uint64, idxs []int, vals []byte, found []bool) error {
+	vs := s.st.cfg.ValueSize
+	if len(vals) != len(keys)*vs || len(found) != len(keys) {
+		return ErrValueSize
+	}
+	if groupLen(keys, idxs) == 0 {
+		return nil
+	}
+	bound := s.st.bound.Load()
+	s.es.Protect()
+	defer s.end()
+	return s.eachWindow(keys, idxs, func(i int) error {
+		dst := vals[i*vs : (i+1)*vs]
+		ok, err := s.get(ctx, keys[i], dst, bound)
+		if err != nil {
+			return err
+		}
+		found[i] = ok
+		if !ok {
+			clear(dst)
+		}
+		return nil
+	})
+}
+
+// get is the read protocol for one key, shared by GetCtx and GetBatch.
+// The caller holds protection.
+func (s *Session) get(ctx context.Context, key uint64, dst []byte, bound int64) (bool, error) {
+	s.n.gets++
+	var hit chainHit
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			if err := ctx.Err(); err != nil {
 				return false, err
 			}
 		}
-		hit, err := s.findKey(key, false)
-		if err != nil {
+		if err := s.findKey(&hit, key, false); err != nil {
 			return false, err
 		}
 		if hit.addr == InvalidAddr || hit.tomb {
 			return false, nil
 		}
-		done, found, err := s.getOnce(key, hit, dst, bound)
+		done, found, err := s.getOnce(key, &hit, dst, bound)
 		if err != nil {
 			return false, err
 		}
@@ -337,7 +480,7 @@ func (s *Session) GetCtx(ctx context.Context, key uint64, dst []byte) (bool, err
 
 // getOnce attempts the Get against one located record version. done=false
 // means the caller must re-resolve the chain and retry.
-func (s *Session) getOnce(key uint64, hit chainHit, dst []byte, bound int64) (done, found bool, err error) {
+func (s *Session) getOnce(key uint64, hit *chainHit, dst []byte, bound int64) (done, found bool, err error) {
 	st := s.st
 	switch hit.reg {
 	case regionMutable:
@@ -358,7 +501,7 @@ func (s *Session) getOnce(key uint64, hit chainHit, dst []byte, bound int64) (do
 		}
 		copy(dst, hit.f.vals[hit.slot*st.cfg.ValueSize:(hit.slot+1)*st.cfg.ValueSize])
 		hit.f.hdrs[hit.slot].Store(releaseHeader(withLock(h, delta), false))
-		st.stats.MemHits.Add(1)
+		s.n.memHits++
 		return true, true, nil
 
 	case regionFuzzy:
@@ -370,7 +513,7 @@ func (s *Session) getOnce(key uint64, hit chainHit, dst []byte, bound int64) (do
 		if bound < 0 {
 			// Plain FASTER read: values are immutable here, no lock needed.
 			copy(dst, hit.f.vals[hit.slot*st.cfg.ValueSize:(hit.slot+1)*st.cfg.ValueSize])
-			st.stats.MemHits.Add(1)
+			s.n.memHits++
 			return true, true, nil
 		}
 		// BSC requires mutating the vector clock, which frozen pages cannot
@@ -417,9 +560,9 @@ func (s *Session) Peek(key uint64, dst []byte) (bool, error) {
 	}
 	s.es.Protect()
 	defer s.es.Unprotect()
+	var hit chainHit
 	for attempt := 0; ; attempt++ {
-		hit, err := s.findKey(key, false)
-		if err != nil {
+		if err := s.findKey(&hit, key, false); err != nil {
 			return false, err
 		}
 		if hit.addr == InvalidAddr || hit.tomb {
@@ -457,30 +600,60 @@ func (s *Session) Put(key uint64, val []byte) error {
 	if len(val) != s.st.cfg.ValueSize {
 		return ErrValueSize
 	}
-	s.st.stats.Puts.Add(1)
+	bound := s.st.bound.Load()
+	s.es.Protect()
+	defer s.end()
+	return s.put(key, val, bound)
+}
+
+// PutBatch upserts a group of keys under one epoch protection: keys[i]
+// gets vals[i*ValueSize:(i+1)*ValueSize] for every position i idxs selects
+// (nil: all of them), in group order, each by Put's protocol.
+func (s *Session) PutBatch(keys []uint64, idxs []int, vals []byte) error {
+	vs := s.st.cfg.ValueSize
+	if len(vals) != len(keys)*vs {
+		return ErrValueSize
+	}
+	if groupLen(keys, idxs) == 0 {
+		return nil
+	}
+	bound := s.st.bound.Load()
+	s.es.Protect()
+	defer s.end()
+	return s.eachWindow(keys, idxs, func(i int) error {
+		return s.put(keys[i], vals[i*vs:(i+1)*vs], bound)
+	})
+}
+
+// put is Put's protocol for one key, shared by Put and PutBatch. The
+// caller holds protection.
+func (s *Session) put(key uint64, val []byte, bound int64) error {
+	s.n.puts++
 	return s.update(key, func(cur []byte, _ bool) {
 		copy(cur, val)
-	})
+	}, bound)
 }
 
 // RMW applies fn to the current value (zeroed if the key is absent) as a
 // single atomic read-modify-write: in place in the mutable region, by
 // append elsewhere. It follows Put's staleness semantics.
 func (s *Session) RMW(key uint64, fn func(cur []byte, exists bool)) error {
-	s.st.stats.RMWs.Add(1)
-	return s.update(key, fn)
-}
-
-func (s *Session) update(key uint64, fn func(cur []byte, exists bool)) error {
 	bound := s.st.bound.Load()
 	s.es.Protect()
-	defer s.es.Unprotect()
+	defer s.end()
+	s.n.rmws++
+	return s.update(key, fn, bound)
+}
+
+// update runs an upsert of key through fn until it lands. The caller
+// holds protection.
+func (s *Session) update(key uint64, fn func(cur []byte, exists bool), bound int64) error {
+	var hit chainHit
 	for attempt := 0; ; attempt++ {
-		hit, err := s.findKey(key, true)
-		if err != nil {
+		if err := s.findKey(&hit, key, true); err != nil {
 			return err
 		}
-		done, err := s.updateOnce(key, hit, fn, bound)
+		done, err := s.updateOnce(key, &hit, fn, bound)
 		if err != nil {
 			return err
 		}
@@ -491,7 +664,7 @@ func (s *Session) update(key uint64, fn func(cur []byte, exists bool)) error {
 	}
 }
 
-func (s *Session) updateOnce(key uint64, hit chainHit, fn func([]byte, bool), bound int64) (bool, error) {
+func (s *Session) updateOnce(key uint64, hit *chainHit, fn func([]byte, bool), bound int64) (bool, error) {
 	st := s.st
 	vs := st.cfg.ValueSize
 	exists := hit.addr != InvalidAddr && !hit.tomb
@@ -510,7 +683,7 @@ func (s *Session) updateOnce(key uint64, hit chainHit, fn func([]byte, bool), bo
 		}
 		fn(hit.f.vals[hit.slot*vs:(hit.slot+1)*vs], true)
 		hit.f.hdrs[hit.slot].Store(releaseHeader(withLock(h, delta), true))
-		st.stats.InPlaceUpdates.Add(1)
+		s.n.inPlaceUpdates++
 		return true, nil
 	}
 	if exists && hit.reg == regionFuzzy {
@@ -554,19 +727,19 @@ func (s *Session) updateOnce(key uint64, hit chainHit, fn func([]byte, bool), bo
 
 // Delete appends a tombstone for key. Subsequent Gets report not-found.
 func (s *Session) Delete(key uint64) error {
-	s.st.stats.Deletes.Add(1)
 	s.es.Protect()
-	defer s.es.Unprotect()
+	defer s.end()
+	s.n.deletes++
+	var hit chainHit
 	for attempt := 0; ; attempt++ {
-		hit, err := s.findKey(key, true)
-		if err != nil {
+		if err := s.findKey(&hit, key, true); err != nil {
 			return err
 		}
 		if hit.addr == InvalidAddr || hit.tomb {
 			return nil // nothing to delete
 		}
 		clearBytes(s.scratch)
-		ok, err := s.appendRecord(key, PackHeader(false, false, 0, 0), s.scratch, hit, true)
+		ok, err := s.appendRecord(key, PackHeader(false, false, 0, 0), s.scratch, &hit, true)
 		if err != nil {
 			return err
 		}
@@ -586,14 +759,14 @@ func (s *Session) Delete(key uint64) error {
 func (s *Session) Prefetch(key uint64) (bool, error) {
 	s.es.Protect()
 	defer s.es.Unprotect()
-	hit, err := s.findKey(key, false)
-	if err != nil {
+	var hit chainHit
+	if err := s.findKey(&hit, key, false); err != nil {
 		return false, err
 	}
 	if hit.addr == InvalidAddr || hit.tomb || hit.reg != regionDisk {
 		return false, nil
 	}
-	ok, err := s.copyToTail(key, hit.diskRec.hdr&^lockedBit, hit.diskRec.val, hit)
+	ok, err := s.copyToTail(key, hit.diskRec.hdr&^lockedBit, hit.diskRec.val, &hit)
 	if err != nil {
 		return false, err
 	}
@@ -608,15 +781,15 @@ func (s *Session) Prefetch(key uint64) (bool, error) {
 // captured in hit as its predecessor, then CASes the index entry. Returns
 // false if the chain moved (caller retries or abandons); a non-nil error
 // means the log can no longer allocate (background flush failed).
-func (s *Session) copyToTail(key uint64, hdr uint64, val []byte, hit chainHit) (bool, error) {
+func (s *Session) copyToTail(key uint64, hdr uint64, val []byte, hit *chainHit) (bool, error) {
 	return s.appendRecordHdr(key, hdr, val, hit, false)
 }
 
-func (s *Session) appendRecord(key uint64, hdr uint64, val []byte, hit chainHit, tomb bool) (bool, error) {
+func (s *Session) appendRecord(key uint64, hdr uint64, val []byte, hit *chainHit, tomb bool) (bool, error) {
 	return s.appendRecordHdr(key, hdr, val, hit, tomb)
 }
 
-func (s *Session) appendRecordHdr(key uint64, hdr uint64, val []byte, hit chainHit, tomb bool) (bool, error) {
+func (s *Session) appendRecordHdr(key uint64, hdr uint64, val []byte, hit *chainHit, tomb bool) (bool, error) {
 	st := s.st
 	// allocate may Refresh the session; hit.entryVal remains a valid CAS
 	// expectation (addresses are stable), but frame pointers in hit must

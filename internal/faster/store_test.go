@@ -271,7 +271,8 @@ func recordStaleness(t *testing.T, st *Store, s *Session, key uint64) uint64 {
 	t.Helper()
 	s.es.Protect()
 	defer s.es.Unprotect()
-	hit, err := s.findKey(key, false)
+	var hit chainHit
+	err := s.findKey(&hit, key, false)
 	if err != nil {
 		t.Fatal(err)
 	}

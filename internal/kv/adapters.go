@@ -59,6 +59,24 @@ func (se fkSession) Prefetch(key uint64) (bool, error)         { return se.s.Pre
 func (se fkSession) Peek(key uint64, dst []byte) (bool, error) { return se.s.Peek(key, dst) }
 func (se fkSession) Close()                                    { se.s.Close() }
 
+// GetBatch implements BatchSession: the whole batch is one group of the
+// session's native batch read.
+func (se fkSession) GetBatch(keys []uint64, vals []byte, found []bool) error {
+	return se.s.GetBatch(context.Background(), keys, nil, vals, found)
+}
+
+// GetBatchCtx implements CtxBatchSession. One session reads the keys in
+// caller order, so even under a blocking bound the batch acquires tokens
+// in the same order as a per-key loop.
+func (se fkSession) GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error {
+	return se.s.GetBatch(ctx, keys, nil, vals, found)
+}
+
+// PutBatch implements BatchSession.
+func (se fkSession) PutBatch(keys []uint64, vals []byte) error {
+	return se.s.PutBatch(keys, nil, vals)
+}
+
 // WrapFasterShards adapts a hash-partitioned set of FASTER stores to the
 // Store interface: every operation routes to the shard util.ShardOf
 // assigns its key, the same placement the core shard router uses. The
@@ -177,10 +195,6 @@ func (se *fkShardSession) Close() {
 	}
 }
 
-// batchFanoutMin matches the core router's threshold: below it, goroutine
-// spawn costs more than the handful of routed operations it would overlap.
-const batchFanoutMin = 16
-
 // GetBatch implements BatchSession: keys group by owning shard and the
 // per-shard groups run in parallel goroutines. Within one call each
 // shard's faster session is driven by exactly one goroutine, preserving
@@ -217,36 +231,18 @@ func (se *fkShardSession) GetBatchCtx(ctx context.Context, keys []uint64, vals [
 		return nil
 	}
 	return se.fanOut(keys, func(sh int, idxs []int) error {
-		s := se.ss[sh]
-		for _, i := range idxs {
-			slot := vals[i*vs : (i+1)*vs]
-			ok, err := s.GetCtx(ctx, keys[i], slot)
-			if err != nil {
-				return err
-			}
-			found[i] = ok
-			if !ok {
-				clear(slot)
-			}
-		}
-		return nil
+		return se.ss[sh].GetBatch(ctx, keys, idxs, vals, found)
 	})
 }
 
-// PutBatch implements BatchSession with the same per-shard fan-out.
+// PutBatch implements BatchSession with the same per-shard fan-out, each
+// shard's group one native batch write.
 func (se *fkShardSession) PutBatch(keys []uint64, vals []byte) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	vs := len(vals) / len(keys)
 	return se.fanOut(keys, func(sh int, idxs []int) error {
-		s := se.ss[sh]
-		for _, i := range idxs {
-			if err := s.Put(keys[i], vals[i*vs:(i+1)*vs]); err != nil {
-				return err
-			}
-		}
-		return nil
+		return se.ss[sh].PutBatch(keys, idxs, vals)
 	})
 }
 
@@ -264,7 +260,7 @@ func (se *fkShardSession) fanOut(keys []uint64, op func(shard int, idxs []int) e
 		sh := util.ShardOf(k, n)
 		groups[sh] = append(groups[sh], i)
 	}
-	if len(keys) < batchFanoutMin {
+	if len(keys) < util.BatchFanoutMin {
 		for sh, idxs := range groups {
 			if len(idxs) == 0 {
 				continue

@@ -36,7 +36,10 @@ func openShardSetBound(t *testing.T, shards, vs int, bound int64) Store {
 // with zeroed slots, deletes are visible to batch reads.
 func TestBatchHelpers(t *testing.T) {
 	const vs = 16
-	stores := map[string]Store{"sharded": openShardSet(t, 4, vs)}
+	stores := map[string]Store{
+		"sharded": openShardSet(t, 4, vs),
+		"single":  openShardSet(t, 1, vs), // WrapFaster: one native batch
+	}
 	ls, err := lsm.Open(lsm.Config{Dir: t.TempDir(), ValueSize: vs, MemtableBytes: 8 << 10})
 	if err != nil {
 		t.Fatal(err)
@@ -51,8 +54,11 @@ func TestBatchHelpers(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
+			if _, native := s.(CtxBatchSession); native == (name == "lsm-fallback") {
+				t.Fatalf("%s: CtxBatchSession implemented = %v", name, native)
+			}
 
-			const n = 300 // above batchFanoutMin so the fan-out path runs
+			const n = 300 // above util.BatchFanoutMin so the fan-out path runs
 			keys := make([]uint64, n)
 			vals := make([]byte, n*vs)
 			for i := range keys {
@@ -172,7 +178,7 @@ func TestShardedBatchBlockingBoundSerial(t *testing.T) {
 	}
 	defer s.Close()
 
-	const n = 64 // above batchFanoutMin: without the gate this would fan out
+	const n = 64 // above util.BatchFanoutMin: without the gate this would fan out
 	keys := make([]uint64, n)
 	vals := make([]byte, n*vs)
 	for i := range keys {

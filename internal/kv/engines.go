@@ -414,7 +414,7 @@ func (se *engineShardSession) PutBatch(keys []uint64, vals []byte) error {
 // batches, one goroutine per shard otherwise (the engines are internally
 // synchronized, so parallel shard batches are safe).
 func (se *engineShardSession) eachShard(total int, groups [][]int, op func(sh int, idxs []int) error) error {
-	if total < batchFanoutMin {
+	if total < util.BatchFanoutMin {
 		for sh, idxs := range groups {
 			if len(idxs) == 0 {
 				continue

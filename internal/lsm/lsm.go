@@ -75,7 +75,7 @@ type Store struct {
 	flushSignal chan struct{}
 	done        chan struct{}
 	bg          sync.WaitGroup
-	bgErr       atomic.Value // error
+	bgErr       atomic.Pointer[error] // first background or WAL-rotation failure
 
 	flushing   sync.Mutex // serializes flushImmutables (bg vs Flush)
 	compacting sync.Mutex // serializes compactions
@@ -249,7 +249,7 @@ func (s *Store) appendWAL(key uint64, val []byte, tomb bool) error {
 
 // put is the shared write path.
 func (s *Store) put(key uint64, val []byte, tomb bool) error {
-	if err, _ := s.bgErr.Load().(error); err != nil {
+	if err := s.failed(); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -265,8 +265,24 @@ func (s *Store) put(key uint64, val []byte, tomb bool) error {
 	return nil
 }
 
+// failed returns the error that stopped the store, if any: a background
+// flush or compaction failure, or a WAL that could not be rotated.
+func (s *Store) failed() error {
+	if p := s.bgErr.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// fail records err as the store's failure; the first one wins.
+func (s *Store) fail(err error) { s.bgErr.CompareAndSwap(nil, &err) }
+
 // rotateMemtableLocked moves the active memtable to the immutable queue and
-// starts a fresh one with a fresh WAL. Caller holds s.mu.
+// starts a fresh one with a fresh WAL. Caller holds s.mu. If the old WAL
+// cannot be archived or the new one opened, the store fails: every later
+// operation returns the error instead of writing to a closed WAL, or to an
+// unarchived one whose already-flushed records a crash would replay over
+// newer data.
 func (s *Store) rotateMemtableLocked() {
 	s.imm = append(s.imm, s.mem)
 	s.mem = newMemtable(uint64(len(s.imm)) + 2)
@@ -275,9 +291,12 @@ func (s *Store) rotateMemtableLocked() {
 	// flushed shortly); a crash before the flush replays the archived WAL.
 	s.walSeq++
 	arch := fmt.Sprintf("%s.%06d", s.walPath, s.walSeq)
-	os.Rename(s.walPath, arch)
 	s.immWAL = append(s.immWAL, arch)
-	s.openWAL()
+	if err := os.Rename(s.walPath, arch); err != nil {
+		s.fail(fmt.Errorf("lsm: archive WAL: %w", err))
+	} else if err := s.openWAL(); err != nil {
+		s.fail(fmt.Errorf("lsm: open WAL: %w", err))
+	}
 	select {
 	case s.flushSignal <- struct{}{}:
 	default:
@@ -286,7 +305,7 @@ func (s *Store) rotateMemtableLocked() {
 
 // get is the shared read path.
 func (s *Store) get(key uint64, dst []byte) (bool, error) {
-	if err, _ := s.bgErr.Load().(error); err != nil {
+	if err := s.failed(); err != nil {
 		return false, err
 	}
 	// Snapshot the memtable pointers under the lock (rotation swaps them).
@@ -341,7 +360,7 @@ func (s *Store) getSnapshot(key uint64, dst []byte, mem *memtable, imm []*memtab
 // getBatch reads keys[i] into vals[i*vs:(i+1)*vs], capturing the
 // memtable/version snapshot once for the whole batch.
 func (s *Store) getBatch(keys []uint64, vals []byte, found []bool) error {
-	if err, _ := s.bgErr.Load().(error); err != nil {
+	if err := s.failed(); err != nil {
 		return err
 	}
 	vs := s.cfg.ValueSize
@@ -365,7 +384,7 @@ func (s *Store) getBatch(keys []uint64, vals []byte, found []bool) error {
 // write. The memtable may overshoot MemtableBytes by at most one batch;
 // rotation is checked once at the end.
 func (s *Store) putBatch(keys []uint64, vals []byte) error {
-	if err, _ := s.bgErr.Load().(error); err != nil {
+	if err := s.failed(); err != nil {
 		return err
 	}
 	vs := s.cfg.ValueSize
@@ -404,11 +423,11 @@ func (s *Store) background() {
 			return
 		case <-s.flushSignal:
 			if err := s.flushImmutables(); err != nil {
-				s.bgErr.Store(err)
+				s.fail(err)
 				return
 			}
 			if err := s.maybeCompact(); err != nil {
-				s.bgErr.Store(err)
+				s.fail(err)
 				return
 			}
 		}
@@ -508,7 +527,7 @@ func (s *Store) Close() error {
 		t.close()
 		os.Remove(t.path)
 	}
-	if err, _ := s.bgErr.Load().(error); err != nil {
+	if err := s.failed(); err != nil {
 		return err
 	}
 	return nil

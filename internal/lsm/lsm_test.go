@@ -2,6 +2,9 @@ package lsm
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -347,5 +350,43 @@ func TestLSMConfigValidation(t *testing.T) {
 	}
 	if _, err := Open(Config{Dir: t.TempDir()}); err == nil {
 		t.Fatal("missing ValueSize accepted")
+	}
+}
+
+// TestLSMWALRotationFailureStopsWrites forces the WAL archive rename in a
+// memtable rotation to fail (a directory occupies the archive name). The
+// write that triggered the rotation is already logged and succeeds; every
+// later operation must fail rather than write to the closed WAL, and
+// Close must report the failure.
+func TestLSMWALRotationFailureStopsWrites(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir, ValueSize: 16, MemtableBytes: 4 << 10, L0Limit: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "wal.log.000001", "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	se, _ := s.NewSession()
+	var k uint64
+	for k = 1; s.walSeq == 0; k++ {
+		if k > 10000 {
+			t.Fatal("memtable never rotated")
+		}
+		if err := se.Put(k, lval(16, k)); err != nil {
+			t.Fatalf("put %d before the rotation: %v", k, err)
+		}
+	}
+	if err := se.Put(k, lval(16, k)); err == nil || !strings.Contains(err.Error(), "archive WAL") {
+		t.Fatalf("put after failed rotation: err = %v, want the archive error", err)
+	}
+	if err := se.PutBatch([]uint64{k}, lval(16, k)); err == nil {
+		t.Fatal("batch put after failed rotation succeeded")
+	}
+	if _, err := se.Get(1, make([]byte, 16)); err == nil {
+		t.Fatal("get after failed rotation succeeded")
+	}
+	if err := s.Close(); err == nil {
+		t.Fatal("Close did not report the rotation failure")
 	}
 }

@@ -30,6 +30,12 @@ func ShardOf(key uint64, shards int) int {
 	return int(Mix64(key^0xc2b2ae3d27d4eb4f) % uint64(shards))
 }
 
+// BatchFanoutMin is the batch size below which the shard routers (core's
+// table sessions, kv's sharded adapters) run a cross-shard batch serially:
+// a goroutine per shard costs more than the handful of routed operations
+// it would overlap.
+const BatchFanoutMin = 16
+
 // NextPow2 returns the smallest power of two >= v (and at least 1).
 func NextPow2(v uint64) uint64 {
 	if v == 0 {
