@@ -14,7 +14,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -152,9 +151,6 @@ func OpenTable(opts Options) (*Table, error) {
 	if opts.MemoryBytes == 0 {
 		opts.MemoryBytes = 64 << 20
 	}
-	if opts.MutableFraction == 0 {
-		opts.MutableFraction = 0.5
-	}
 	if opts.PrefetchWorkers == 0 {
 		opts.PrefetchWorkers = 2
 	}
@@ -166,62 +162,26 @@ func OpenTable(opts Options) (*Table, error) {
 	if rpp == 0 {
 		rpp = 1024
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, err
-	}
-	if err := util.ValidateShardMeta(opts.Dir, opts.Shards); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	// Split the memory and index budgets evenly: S shards together use the
 	// same resources one unsharded store would.
-	recBytes := int64(vs + 24)
-	memPages := int(opts.MemoryBytes / int64(opts.Shards) / (recBytes * int64(rpp)))
-	if memPages < 4 {
-		memPages = 4
+	base := faster.Config{
+		ValueSize:      vs,
+		RecordsPerPage: rpp,
+		StalenessBound: opts.StalenessBound,
+		FlushPace:      opts.FlushPace,
 	}
-	mutPages := int(float64(memPages) * opts.MutableFraction)
-	if mutPages < 1 {
-		mutPages = 1
-	}
-	if mutPages > memPages-2 {
-		mutPages = memPages - 2
-	}
-	keysPerShard := opts.ExpectedKeys / uint64(opts.Shards)
-	if opts.ExpectedKeys > 0 && keysPerShard == 0 {
-		keysPerShard = 1
-	}
-	dirs := shardDirs(opts.Dir, opts.Shards)
-	stores := make([]*faster.Store, 0, opts.Shards)
-	for _, d := range dirs {
-		st, err := faster.Open(faster.Config{
-			Dir:            d,
-			ValueSize:      vs,
-			RecordsPerPage: rpp,
-			MemPages:       memPages,
-			MutablePages:   mutPages,
-			ExpectedKeys:   keysPerShard,
-			StalenessBound: opts.StalenessBound,
-			FlushPace:      opts.FlushPace,
-		})
-		if err != nil {
-			for _, prev := range stores {
-				prev.Close()
-			}
-			return nil, err
-		}
-		stores = append(stores, st)
-	}
-	// Persist the shard count only now that every shard opened, so a
-	// failed open never pins the directory to a count holding no data.
-	if err := util.WriteShardMeta(opts.Dir, opts.Shards); err != nil {
-		for _, prev := range stores {
-			prev.Close()
-		}
-		return nil, err
+	base.SplitBudget(opts.Shards, opts.MemoryBytes, opts.MutableFraction, opts.ExpectedKeys)
+	stores, err := util.OpenShards(opts.Dir, opts.Shards, func(dir string) (*faster.Store, error) {
+		cfg := base
+		cfg.Dir = dir
+		return faster.Open(cfg)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	t := &Table{
 		stores:       stores,
-		dirs:         dirs,
+		dirs:         util.ShardDirs(opts.Dir, opts.Shards),
 		dir:          opts.Dir,
 		dim:          opts.Dim,
 		vs:           vs,
@@ -266,27 +226,9 @@ func (t *Table) SetStalenessBound(b int64) {
 }
 
 // Checkpoint makes the table durable (call at a training barrier). Shards
-// checkpoint in parallel; the first error is returned.
+// checkpoint in parallel.
 func (t *Table) Checkpoint() error {
-	if len(t.stores) == 1 {
-		return t.stores[0].Checkpoint()
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(t.stores))
-	for i, st := range t.stores {
-		wg.Add(1)
-		go func(i int, st *faster.Store) {
-			defer wg.Done()
-			errs[i] = st.Checkpoint()
-		}(i, st)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return util.Parallel(len(t.stores), func(i int) error { return t.stores[i].Checkpoint() })
 }
 
 // Close stops the prefetch pool and closes every shard, returning the
@@ -413,8 +355,7 @@ type Session struct {
 	t       *Table
 	ss      []*faster.Session // one per shard, in shard order
 	bufs    [][]byte          // per-shard scratch, t.vs bytes each
-	groups  [][]int           // reusable per-shard index groups for batches
-	errs    []error           // reusable per-shard fan-out results
+	fan     util.Fanout       // batch routing across shards
 	missIdx []int             // reusable hot-tier miss indices for batches
 	closed  bool
 }
@@ -591,27 +532,7 @@ func (s *Session) GetBatchCtx(ctx context.Context, keys []uint64, dst []float32)
 		}
 		return nil
 	}
-	n := len(keys)
-	if miss != nil {
-		n = len(miss)
-	}
-	if len(s.t.stores) == 1 || n < util.BatchFanoutMin || faster.BlockingBound(bound) {
-		if miss == nil {
-			for i, k := range keys {
-				if err := readOne(s.t.shardOf(k), i); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for _, i := range miss {
-			if err := readOne(s.t.shardOf(keys[i]), i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return s.fanOut(s.groupByShard(keys, miss), func(sh int, idxs []int) error {
+	return s.fan.Run(keys, miss, len(s.t.stores), faster.BlockingBound(bound), func(sh int, idxs []int) error {
 		for _, i := range idxs {
 			if err := readOne(sh, i); err != nil {
 				return err
@@ -673,15 +594,7 @@ func (s *Session) PutBatch(keys []uint64, vals []float32) error {
 	}
 	s.t.batchPuts.Add(1)
 	dim := s.t.dim
-	if len(s.t.stores) == 1 || len(keys) < util.BatchFanoutMin {
-		for i, k := range keys {
-			if err := s.putOn(s.t.shardOf(k), k, vals[i*dim:(i+1)*dim]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return s.fanOut(s.groupByShard(keys, nil), func(sh int, idxs []int) error {
+	return s.fan.Run(keys, nil, len(s.t.stores), false, func(sh int, idxs []int) error {
 		for _, i := range idxs {
 			if err := s.putOn(sh, keys[i], vals[i*dim:(i+1)*dim]); err != nil {
 				return err

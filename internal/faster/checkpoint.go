@@ -14,14 +14,13 @@ import (
 // Checkpointing: the paper's deployments periodically checkpoint the local
 // NVMe-resident log to durable storage (§II-B, "Heterogeneous Storage").
 // Here a checkpoint is (1) flushing every allocated page to the log file and
-// (2) atomically writing a metadata file recording the durable tail, from
-// which the index is rebuilt by a forward scan on recovery.
+// (2) atomically and durably writing a metadata file recording the durable
+// tail, from which the index is rebuilt by a forward scan on recovery.
 
 const (
-	metaMagic   = uint64(0x4d4c4b56464b5631) // "MLKVFKV1"
-	metaFile    = "CHECKPOINT"
-	metaTmpFile = "CHECKPOINT.tmp"
-	metaSize    = 8 + 8 + 8 + 4 // magic | tailAddr | valueSize | crc
+	metaMagic = uint64(0x4d4c4b56464b5631) // "MLKVFKV1"
+	metaFile  = "CHECKPOINT"
+	metaSize  = 8 + 8 + 8 + 4 // magic | tailAddr | valueSize | crc
 )
 
 // Checkpoint makes the current store contents durable. The caller must
@@ -38,11 +37,10 @@ func (st *Store) Checkpoint() error {
 	binary.LittleEndian.PutUint64(buf[16:], uint64(st.cfg.ValueSize))
 	crc := crc32.ChecksumIEEE(buf[:24])
 	binary.LittleEndian.PutUint32(buf[24:], crc)
-	tmp := filepath.Join(st.cfg.Dir, metaTmpFile)
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+	if err := util.AtomicWriteFile(filepath.Join(st.cfg.Dir, metaFile), buf, 0o644); err != nil {
 		return fmt.Errorf("faster: write checkpoint: %w", err)
 	}
-	return os.Rename(tmp, filepath.Join(st.cfg.Dir, metaFile))
+	return nil
 }
 
 // ErrCorruptCheckpoint indicates a damaged or torn checkpoint file.

@@ -91,6 +91,26 @@ func (c *Config) setDefaults() error {
 	return nil
 }
 
+// SplitBudget sizes c as one of shards stores that together use
+// memoryBytes of page frames and index expectedKeys keys, so S shards use
+// the resources one unsharded store would. mutableFraction (0 means 0.5)
+// is the share of each shard's pages accepting in-place updates. Every
+// shard gets at least 4 pages and, when expectedKeys is set, an index
+// sized for at least one key. c.ValueSize and c.RecordsPerPage must be
+// set.
+func (c *Config) SplitBudget(shards int, memoryBytes int64, mutableFraction float64, expectedKeys uint64) {
+	if mutableFraction == 0 {
+		mutableFraction = 0.5
+	}
+	recBytes := int64(c.ValueSize + 24)
+	c.MemPages = max(int(memoryBytes/int64(shards)/(recBytes*int64(c.RecordsPerPage))), 4)
+	c.MutablePages = min(max(int(float64(c.MemPages)*mutableFraction), 1), c.MemPages-2)
+	c.ExpectedKeys = expectedKeys / uint64(shards)
+	if expectedKeys > 0 && c.ExpectedKeys == 0 {
+		c.ExpectedKeys = 1
+	}
+}
+
 // Store is a FASTER-style hybrid-log key-value store with MLKV's
 // bounded-staleness extension. All operations go through a Session.
 type Store struct {
@@ -169,6 +189,9 @@ func (st *Store) MemoryBytes() int64 {
 	per := int64(st.cfg.RecordsPerPage) * int64(st.cfg.ValueSize+3*8)
 	return per * int64(st.cfg.MemPages)
 }
+
+// IndexBuckets reports the hash index's main bucket count.
+func (st *Store) IndexBuckets() int { return len(st.ix.buckets) }
 
 // Session is a registered participant in the store's epoch protocol. It is
 // not safe for concurrent use; each goroutine needs its own session.

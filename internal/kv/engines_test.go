@@ -2,24 +2,20 @@ package kv
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
+	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
 // openEngineStore opens a sharded clock-free engine store through the same
-// entry point the driver and server use.
+// entry point the driver and server use, closed when the test ends.
 func openEngineStore(t *testing.T, engine string, shards, vs int) Store {
 	t.Helper()
-	st, err := OpenEngine(engine, ShardedConfig{
-		Dir:            t.TempDir(),
-		Shards:         shards,
-		ValueSize:      vs,
-		StalenessBound: -1, // clock-free engines take no blocking bound
-	}, engine)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openEngine(t, engine, shards, vs)
 	t.Cleanup(func() {
 		if err := st.Close(); err != nil {
 			t.Errorf("close: %v", err)
@@ -96,5 +92,94 @@ func TestEngineBatchFanOutBounded(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOptionalInterfaceSets pins the exact optional-interface set of every
+// store shape OpenEngine builds and of its sessions, because the server,
+// the registry and WrapCached branch on them: the hybrid log is Bounded
+// and never a BatchCallReporter, a clock-free store is the reverse — the
+// registry rejects a blocking bound on a store that is not Bounded — and
+// every session is natively batched, peekable and ctx-aware.
+func TestOptionalInterfaceSets(t *testing.T) {
+	storeIfaces := map[string]reflect.Type{
+		"Checkpointer":       reflect.TypeFor[Checkpointer](),
+		"StatsReporter":      reflect.TypeFor[StatsReporter](),
+		"Sharded":            reflect.TypeFor[Sharded](),
+		"Bounded":            reflect.TypeFor[Bounded](),
+		"CacheStatsReporter": reflect.TypeFor[CacheStatsReporter](),
+		"BatchCallReporter":  reflect.TypeFor[BatchCallReporter](),
+	}
+	sessionIfaces := map[string]reflect.Type{
+		"BatchSession":     reflect.TypeFor[BatchSession](),
+		"PeekSession":      reflect.TypeFor[PeekSession](),
+		"LookaheadSession": reflect.TypeFor[LookaheadSession](),
+		"CtxSession":       reflect.TypeFor[CtxSession](),
+		"CtxBatchSession":  reflect.TypeFor[CtxBatchSession](),
+	}
+	implemented := func(v any, set map[string]reflect.Type) []string {
+		var out []string
+		for name, it := range set {
+			if reflect.TypeOf(v).Implements(it) {
+				out = append(out, name)
+			}
+		}
+		slices.Sort(out)
+		return out
+	}
+	wantSession := []string{"BatchSession", "CtxBatchSession", "CtxSession", "PeekSession"}
+	wantStore := map[string][]string{
+		EngineFaster: {"Bounded", "Checkpointer", "Sharded", "StatsReporter"},
+		EngineLSM:    {"BatchCallReporter", "Checkpointer", "Sharded", "StatsReporter"},
+		EngineBPTree: {"BatchCallReporter", "Checkpointer", "Sharded", "StatsReporter"},
+	}
+	for _, engine := range []string{EngineFaster, EngineLSM, EngineBPTree} {
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s-%d", engine, shards), func(t *testing.T) {
+				st := openEngineStore(t, engine, shards, 8)
+				if got := implemented(st, storeIfaces); !slices.Equal(got, wantStore[engine]) {
+					t.Errorf("store implements %v, want %v", got, wantStore[engine])
+				}
+				s, err := st.NewSession()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				if got := implemented(s, sessionIfaces); !slices.Equal(got, wantSession) {
+					t.Errorf("session implements %v, want %v", got, wantSession)
+				}
+			})
+		}
+	}
+}
+
+// TestShardBudgetSplit pins the one budget split: with fewer expected keys
+// than shards each shard's index is still sized from ExpectedKeys (one key
+// per shard) exactly as core.OpenTable sizes it, not from the hybrid log's
+// 64Ki-bucket default for an unsized index.
+func TestShardBudgetSplit(t *testing.T) {
+	const shards, keys = 4, 2
+	st, err := OpenFasterShards(ShardedConfig{
+		Dir: t.TempDir(), Shards: shards, ValueSize: 16, ExpectedKeys: keys,
+	}, "split")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	tbl, err := core.OpenTable(core.Options{
+		Dir: t.TempDir(), Dim: 4, Shards: shards, ExpectedKeys: keys, PrefetchWorkers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tbl.Close()
+	want := tbl.Stores()[0].IndexBuckets()
+	if want >= 1<<16 {
+		t.Fatalf("core sized a %d-key shard's index at %d buckets", keys/shards, want)
+	}
+	for i, sh := range st.(fasterStore).stores {
+		if got := sh.IndexBuckets(); got != want {
+			t.Errorf("shard %d index has %d buckets, want %d as core sizes it", i, got, want)
+		}
 	}
 }

@@ -41,7 +41,7 @@ type Session interface {
 }
 
 // BatchSession is an optional Session extension for engines with a native
-// batch path (the sharded adapter fans a batch out across shards in
+// batch path (the shard router fans a batch out across shards in
 // parallel; the network client ships it as one frame). Callers should go
 // through SessionGetBatch/SessionPutBatch, which fall back to per-key
 // loops on plain sessions.

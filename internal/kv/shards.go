@@ -1,16 +1,15 @@
 package kv
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
+	"context"
+	"errors"
 	"time"
 
 	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
-// ShardedConfig sizes a hash-partitioned FASTER store set. The memory and
+// ShardedConfig sizes a hash-partitioned store set. The memory and
 // expected-key budgets are totals: S shards together use the same
 // resources one unsharded store would, so 1-vs-N comparisons are fair.
 type ShardedConfig struct {
@@ -45,65 +44,180 @@ type ShardedConfig struct {
 // benchmarks and CLIs derive a sharded store set from a total budget, so
 // the split policy and the shard-count guard cannot drift between them.
 func OpenFasterShards(cfg ShardedConfig, name string) (Store, error) {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
+	cfg.Shards = max(cfg.Shards, 1)
+	base := faster.Config{
+		ValueSize:      cfg.ValueSize,
+		RecordsPerPage: cfg.RecordsPerPage,
+		StalenessBound: cfg.StalenessBound,
+		SyncWrites:     cfg.SyncWrites,
+		FlushPace:      cfg.FlushPace,
 	}
-	if cfg.RecordsPerPage == 0 {
-		cfg.RecordsPerPage = 256
+	if base.RecordsPerPage == 0 {
+		base.RecordsPerPage = 256
 	}
-	if cfg.MutableFraction == 0 {
-		cfg.MutableFraction = 0.5
-	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+	base.SplitBudget(cfg.Shards, cfg.MemoryBytes, cfg.MutableFraction, cfg.ExpectedKeys)
+	stores, err := util.OpenShards(cfg.Dir, cfg.Shards, func(dir string) (*faster.Store, error) {
+		c := base
+		c.Dir = dir
+		return faster.Open(c)
+	})
+	if err != nil {
 		return nil, err
 	}
-	if err := util.ValidateShardMeta(cfg.Dir, cfg.Shards); err != nil {
-		return nil, fmt.Errorf("kv: %w", err)
-	}
-	recBytes := int64(cfg.ValueSize + 24)
-	memPages := int(cfg.MemoryBytes / int64(cfg.Shards) / (recBytes * int64(cfg.RecordsPerPage)))
-	if memPages < 4 {
-		memPages = 4
-	}
-	mutPages := int(float64(memPages) * cfg.MutableFraction)
-	if mutPages < 1 {
-		mutPages = 1
-	}
-	if mutPages > memPages-2 {
-		mutPages = memPages - 2
-	}
-	stores := make([]*faster.Store, cfg.Shards)
-	for i := range stores {
-		d := cfg.Dir
-		if cfg.Shards > 1 {
-			d = filepath.Join(cfg.Dir, fmt.Sprintf("shard-%03d", i))
-		}
-		st, err := faster.Open(faster.Config{
-			Dir:            d,
-			ValueSize:      cfg.ValueSize,
-			RecordsPerPage: cfg.RecordsPerPage,
-			MemPages:       memPages,
-			MutablePages:   mutPages,
-			ExpectedKeys:   cfg.ExpectedKeys / uint64(cfg.Shards),
-			StalenessBound: cfg.StalenessBound,
-			SyncWrites:     cfg.SyncWrites,
-			FlushPace:      cfg.FlushPace,
-		})
+	return WrapFasterShards(stores, name), nil
+}
+
+// shardEngine is one shard's store as the router drives it.
+type shardEngine interface {
+	session() (engineSession, error)
+	// blocking reports whether clocked reads can wait under the current
+	// staleness bound, so a batch must keep the caller's key order.
+	blocking() bool
+	Checkpoint() error
+	Stats() faster.StatsSnapshot
+	Close() error
+}
+
+// engineSession is one shard's session as the router drives it. The batch
+// methods have the hybrid log's index-selected shape: idxs picks the
+// positions of keys the call covers (nil: all of them), each value lands
+// at its key's position in vals and found, and a missing key's value slot
+// is zeroed. *faster.Session satisfies it as it is; liftedSession lifts
+// the clock-free engines onto it.
+type engineSession interface {
+	Get(key uint64, dst []byte) (bool, error)
+	GetCtx(ctx context.Context, key uint64, dst []byte) (bool, error)
+	Peek(key uint64, dst []byte) (bool, error)
+	Put(key uint64, val []byte) error
+	Delete(key uint64) error
+	Prefetch(key uint64) (bool, error)
+	GetBatch(ctx context.Context, keys []uint64, idxs []int, vals []byte, found []bool) error
+	PutBatch(keys []uint64, idxs []int, vals []byte) error
+	Close()
+}
+
+// shardStore is the one shard router: it hash-partitions the key space
+// across shard engines by util.ShardOf, the placement core.Table uses
+// too. A single shard is the same router with every batch passed
+// straight through, so 1-vs-N comparisons measure sharding alone, not
+// adapter overhead. It carries the Store surface every engine shares
+// (Checkpointer, StatsReporter, Sharded); fasterStore and clockFreeStore
+// embed it to add their engine family's extensions.
+type shardStore struct {
+	shards    []shardEngine
+	name      string
+	valueSize int
+}
+
+func (w *shardStore) NewSession() (Session, error) {
+	ss := make([]engineSession, len(w.shards))
+	for i, sh := range w.shards {
+		s, err := sh.session()
 		if err != nil {
-			for _, prev := range stores[:i] {
+			for _, prev := range ss[:i] {
 				prev.Close()
 			}
 			return nil, err
 		}
-		stores[i] = st
+		ss[i] = s
 	}
-	// Persist the count only after every shard opened, so a failed open
-	// never pins the directory.
-	if err := util.WriteShardMeta(cfg.Dir, cfg.Shards); err != nil {
-		for _, st := range stores {
-			st.Close()
-		}
-		return nil, err
+	return &shardSession{ss: ss, shard0: w.shards[0]}, nil
+}
+
+func (w *shardStore) ValueSize() int { return w.valueSize }
+func (w *shardStore) Name() string   { return w.name }
+func (w *shardStore) Shards() int    { return len(w.shards) }
+
+func (w *shardStore) Close() error {
+	errs := make([]error, len(w.shards))
+	for i, sh := range w.shards {
+		errs[i] = sh.Close()
 	}
-	return WrapFasterShards(stores, name), nil
+	return errors.Join(errs...)
+}
+
+// Checkpoint makes every shard durable, in parallel.
+func (w *shardStore) Checkpoint() error {
+	return util.Parallel(len(w.shards), func(i int) error { return w.shards[i].Checkpoint() })
+}
+
+// Stats returns the element-wise sum of every shard's counters.
+func (w *shardStore) Stats() faster.StatsSnapshot {
+	var sum faster.StatsSnapshot
+	for _, sh := range w.shards {
+		sum = sum.Add(sh.Stats())
+	}
+	return sum
+}
+
+// shardSession holds one engine session per shard. Point operations route
+// to the key's shard; a batch reaches each shard as one native batch call
+// over that shard's group, scheduled by util.Fanout. Within one call each
+// shard's session is driven by exactly one goroutine, preserving the
+// engines' single-goroutine session contract.
+type shardSession struct {
+	ss     []engineSession
+	shard0 shardEngine // representative for the staleness bound all shards share
+	fan    util.Fanout
+}
+
+func (se *shardSession) route(key uint64) engineSession {
+	return se.ss[util.ShardOf(key, len(se.ss))]
+}
+
+func (se *shardSession) Get(key uint64, dst []byte) (bool, error) {
+	return se.route(key).Get(key, dst)
+}
+
+// GetCtx implements CtxSession: a clocked read stalled on the staleness
+// bound gives up with ctx.Err() when ctx ends.
+func (se *shardSession) GetCtx(ctx context.Context, key uint64, dst []byte) (bool, error) {
+	return se.route(key).GetCtx(ctx, key, dst)
+}
+
+// Peek implements PeekSession.
+func (se *shardSession) Peek(key uint64, dst []byte) (bool, error) {
+	return se.route(key).Peek(key, dst)
+}
+
+func (se *shardSession) Put(key uint64, val []byte) error  { return se.route(key).Put(key, val) }
+func (se *shardSession) Delete(key uint64) error           { return se.route(key).Delete(key) }
+func (se *shardSession) Prefetch(key uint64) (bool, error) { return se.route(key).Prefetch(key) }
+
+func (se *shardSession) Close() {
+	for _, s := range se.ss {
+		s.Close()
+	}
+}
+
+// GetBatch implements BatchSession.
+func (se *shardSession) GetBatch(keys []uint64, vals []byte, found []bool) error {
+	return se.GetBatchCtx(context.Background(), keys, vals, found)
+}
+
+// GetBatchCtx implements CtxBatchSession: ctx is checked on every clocked
+// read, so a batch stalled on the staleness bound gives up at the
+// caller's deadline. Under a blocking bound (BSP or finite SSP) clocked
+// reads are token acquisitions that must keep the caller's key order, or
+// two sessions' parallel per-shard groups could each hold a token the
+// other is blocked on, so the batch then runs serially in caller order —
+// exactly what core.Session.GetBatch does for the same reason.
+func (se *shardSession) GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error {
+	if len(se.ss) == 1 {
+		return se.ss[0].GetBatch(ctx, keys, nil, vals, found)
+	}
+	return se.fan.Run(keys, nil, len(se.ss), se.shard0.blocking(), func(sh int, idxs []int) error {
+		return se.ss[sh].GetBatch(ctx, keys, idxs, vals, found)
+	})
+}
+
+// PutBatch implements BatchSession. Puts never wait on the staleness
+// bound, so shard groups always fan out.
+func (se *shardSession) PutBatch(keys []uint64, vals []byte) error {
+	if len(se.ss) == 1 {
+		return se.ss[0].PutBatch(keys, nil, vals)
+	}
+	return se.fan.Run(keys, nil, len(se.ss), false, func(sh int, idxs []int) error {
+		return se.ss[sh].PutBatch(keys, idxs, vals)
+	})
 }

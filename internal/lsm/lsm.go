@@ -11,6 +11,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"github.com/llm-db/mlkv-go/internal/util"
 )
 
 // Config parameterizes the LSM store.
@@ -152,7 +154,7 @@ func (s *Store) loadManifest() error {
 	return nil
 }
 
-// saveManifest persists the current version. Callers hold s.mu.
+// saveManifest durably persists the current version. Callers hold s.mu.
 func (s *Store) saveManifest() error {
 	v := s.ver.Load()
 	m := manifest{NextFile: s.nextFile, Levels: make([][]uint64, len(v.levels))}
@@ -165,11 +167,7 @@ func (s *Store) saveManifest() error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(s.cfg.Dir, "MANIFEST.tmp")
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(s.cfg.Dir, "MANIFEST"))
+	return util.AtomicWriteFile(filepath.Join(s.cfg.Dir, "MANIFEST"), buf, 0o644)
 }
 
 // WAL record: key(8) | meta(8) | value(vs).

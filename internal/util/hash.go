@@ -21,7 +21,7 @@ func HashKey(key uint64) uint64 {
 // ShardOf maps a record key to one of shards hash partitions. It mixes the
 // key with a constant distinct from HashKey's so that shard placement and
 // in-shard index placement stay uncorrelated; every layer that partitions a
-// key space (core's shard router, kv's sharded adapter) must use this one
+// key space (core's table, kv's shard router) must use this one
 // function so they agree on placement.
 func ShardOf(key uint64, shards int) int {
 	if shards <= 1 {
@@ -30,10 +30,9 @@ func ShardOf(key uint64, shards int) int {
 	return int(Mix64(key^0xc2b2ae3d27d4eb4f) % uint64(shards))
 }
 
-// BatchFanoutMin is the batch size below which the shard routers (core's
-// table sessions, kv's sharded adapters) run a cross-shard batch serially:
-// a goroutine per shard costs more than the handful of routed operations
-// it would overlap.
+// BatchFanoutMin is the batch size below which Fanout runs a cross-shard
+// batch serially: a goroutine per shard costs more than the handful of
+// routed operations it would overlap.
 const BatchFanoutMin = 16
 
 // NextPow2 returns the smallest power of two >= v (and at least 1).
