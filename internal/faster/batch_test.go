@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/llm-db/mlkv-go/internal/util"
 )
@@ -517,4 +518,107 @@ func BenchmarkSessionBatch(b *testing.B) {
 			return s.PutBatch(keys, nil, vals)
 		})
 	})
+}
+
+// BenchmarkSessionBatchCold times GetBatch and PutBatch as a serving
+// shard sees them, where BenchmarkSessionBatch's hot cache hides the
+// per-key cache misses. Two sessions share a 50k-key shard sized like one
+// of four shards of a 64 MiB, 200k-key table. Each step is a distinct,
+// sorted 64-key Zipf(0.99) batch (a 256-key request's share of one
+// shard), taken from 8192 pre-drawn per session, so no step repeats the
+// last one's lines. Between steps each session writes 1 MiB of scratch,
+// as a server's frame decoding and encoding do, so a step starts with
+// other data in the caches. getns/key and putns/key are the mean time
+// per key inside GetBatch and PutBatch.
+func BenchmarkSessionBatchCold(b *testing.B) {
+	const (
+		vs         = 64
+		keySpace   = 50_000
+		batch      = 64
+		sessions   = 2
+		steps      = 8192
+		evictBytes = 1 << 20
+	)
+	cfg := Config{
+		Dir: b.TempDir(), ValueSize: vs, RecordsPerPage: 256, StalenessBound: BoundAsync,
+	}
+	cfg.SplitBudget(4, 64<<20, 0, 4*keySpace)
+	st, err := Open(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	s0, _ := st.NewSession()
+	v := make([]byte, vs)
+	for k := uint64(1); k <= keySpace; k++ {
+		if err := s0.Put(k, v); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s0.Close()
+
+	var draws [sessions][][]uint64
+	for w := range draws {
+		z := util.NewScrambledZipf(util.NewRNG(uint64(w)+1), keySpace, 0.99)
+		seen := make(map[uint64]bool, batch)
+		for n := 0; n < steps; n++ {
+			keys := make([]uint64, 0, batch)
+			clear(seen)
+			for len(keys) < batch {
+				k := z.Next() + 1
+				if !seen[k] {
+					seen[k] = true
+					keys = append(keys, k)
+				}
+			}
+			slices.Sort(keys)
+			draws[w] = append(draws[w], keys)
+		}
+	}
+
+	var getNs, putNs [sessions]int64
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for w := 0; w < sessions; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s, err := st.NewSession()
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			defer s.Close()
+			vals := make([]byte, batch*vs)
+			found := make([]bool, batch)
+			evict := make([]byte, evictBytes)
+			for n := w; n < b.N; n += sessions {
+				for i := 0; i < len(evict); i += 64 {
+					evict[i]++
+				}
+				keys := draws[w][(n/sessions)%steps]
+				t0 := time.Now()
+				if err := s.GetBatch(context.Background(), keys, nil, vals, found); err != nil {
+					b.Error(err)
+					return
+				}
+				t1 := time.Now()
+				if err := s.PutBatch(keys, nil, vals); err != nil {
+					b.Error(err)
+					return
+				}
+				getNs[w] += t1.Sub(t0).Nanoseconds()
+				putNs[w] += time.Since(t1).Nanoseconds()
+			}
+		}(w)
+	}
+	wg.Wait()
+	b.StopTimer()
+	var get, put int64
+	for w := range getNs {
+		get += getNs[w]
+		put += putNs[w]
+	}
+	b.ReportMetric(float64(get)/float64(b.N*batch), "getns/key")
+	b.ReportMetric(float64(put)/float64(b.N*batch), "putns/key")
 }

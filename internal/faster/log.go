@@ -194,12 +194,21 @@ func (l *hybridLog) allocate(s *epoch.Session) (uint64, error) {
 // publishes it.
 func (l *hybridLog) openPage(p int64, s *epoch.Session) error {
 	// 1. Advance the read-only boundary so the mutable window ends at p.
+	// Only published pages may freeze: with more concurrent allocators
+	// than records per page, the opener of a page below the new boundary
+	// can still be waiting for its frame, and a page frozen before it is
+	// published would reach the flusher in a frame holding an older page.
 	if frozen := p - int64(l.mutPages); frozen >= 0 {
 		newRO := uint64(frozen+1) << l.pageShift
 		for {
 			cur := l.roAddr.Load()
 			if newRO <= cur {
 				break
+			}
+			for q := l.pageOf(cur); q <= frozen; q++ {
+				if err := l.waitPageReady(q, s); err != nil {
+					return err
+				}
 			}
 			if l.roAddr.CompareAndSwap(cur, newRO) {
 				l.em.BumpWith(func() { l.onROBoundaryDrained(newRO, frozen) })
@@ -287,17 +296,18 @@ func (l *hybridLog) broadcastFrames() {
 	l.frameMu.Unlock()
 }
 
-// waitPageReady blocks until page p is materialized, refreshing the
+// waitPageReady blocks until page p has been published (its frame holds
+// p or, once p was flushed and recycled, a later page), refreshing the
 // caller's epoch so drains can proceed. If a background flush has failed,
 // the allocator that should publish p may have bailed out with that error,
 // so waiters must observe it too instead of spinning forever.
 func (l *hybridLog) waitPageReady(p int64, s *epoch.Session) error {
 	f := l.frameFor(p)
-	for f.holds.Load() != p {
+	for f.holds.Load() < p {
 		l.flushMu.Lock()
 		err := l.flushErr
 		l.flushMu.Unlock()
-		if err != nil && f.holds.Load() != p {
+		if err != nil && f.holds.Load() < p {
 			return fmt.Errorf("faster: log flush failed: %w", err)
 		}
 		s.Refresh()
@@ -446,24 +456,19 @@ type diskRecord struct {
 	val  []byte
 }
 
-// readDisk reads the record at addr from the log file.
-func (l *hybridLog) readDisk(addr uint64, valBuf []byte) (diskRecord, error) {
-	buf := make([]byte, l.recSize)
+// readDisk reads the record at addr from the log file into buf, which
+// must be recSize bytes; the returned record's val aliases buf.
+func (l *hybridLog) readDisk(addr uint64, buf []byte) (diskRecord, error) {
 	if _, err := l.file.ReadAt(buf, int64(addr)*int64(l.recSize)); err != nil {
 		return diskRecord{}, fmt.Errorf("faster: read record %d: %w", addr, err)
 	}
 	l.stats.DiskReads.Add(1)
-	rec := diskRecord{
+	return diskRecord{
 		hdr:  binary.LittleEndian.Uint64(buf),
 		key:  binary.LittleEndian.Uint64(buf[8:]),
 		prev: binary.LittleEndian.Uint64(buf[16:]),
-	}
-	if valBuf == nil {
-		valBuf = make([]byte, l.valueSize)
-	}
-	copy(valBuf, buf[24:24+l.valueSize])
-	rec.val = valBuf[:l.valueSize]
-	return rec, nil
+		val:  buf[diskRecOverhead:],
+	}, nil
 }
 
 // flushAll freezes and flushes every allocated page up to and including the

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"github.com/llm-db/mlkv-go/internal/epoch"
 	"github.com/llm-db/mlkv-go/internal/util"
@@ -25,7 +26,8 @@ type Config struct {
 	// RecordsPerPage is the number of records per log page (power of two).
 	RecordsPerPage int
 	// MemPages is the number of in-memory page frames: the store's memory
-	// budget is roughly MemPages × RecordsPerPage × (ValueSize + 40) bytes.
+	// budget is roughly MemPages × RecordsPerPage × (ValueSize + 24) bytes
+	// (a record's value plus its header, key and prev words).
 	MemPages int
 	// MutablePages is how many of the newest pages accept in-place updates.
 	// Must be at least 1 and at most MemPages-2.
@@ -200,8 +202,8 @@ type Session struct {
 	es      *epoch.Session
 	ctr     *slotCounters // this session's slot's published counters
 	n       opCounts      // counts of the call in progress
-	scratch []byte
-	sink    uint64 // keeps the probe's loads observable
+	rec     []byte        // one on-disk record: findKey's disk reads land here
+	scratch []byte        // rec's value bytes
 }
 
 // NewSession registers a session. It returns an error if MaxSessions are
@@ -211,7 +213,8 @@ func (st *Store) NewSession() (*Session, error) {
 	if es == nil {
 		return nil, errors.New("faster: too many sessions")
 	}
-	return &Session{st: st, es: es, ctr: &st.ctrs[es.Slot()], scratch: make([]byte, st.cfg.ValueSize)}, nil
+	rec := make([]byte, diskRecSize(st.cfg.ValueSize))
+	return &Session{st: st, es: es, ctr: &st.ctrs[es.Slot()], rec: rec, scratch: rec[diskRecOverhead:]}, nil
 }
 
 // Close unregisters the session.
@@ -293,7 +296,7 @@ func (s *Session) findKey(hit *chainHit, key uint64, create bool) error {
 	for addr != InvalidAddr {
 		reg := st.regionOf(addr)
 		if reg == regionDisk {
-			rec, err := st.log.readDisk(addr, s.scratch)
+			rec, err := st.log.readDisk(addr, s.rec)
 			if err != nil {
 				return err
 			}
@@ -330,9 +333,9 @@ var ErrValueSize = errors.New("faster: buffer length must equal ValueSize")
 // Batch shape. A batch refreshes its epoch protection every
 // batchRefreshKeys keys, so a long batch holds back epoch drains (page
 // recycling, read-only boundary moves) no longer than a short one would.
-// probeWindow keys at a time have their index buckets and chain-head
-// records loaded together before any of them runs (see probe). Refreshes
-// fall between windows, so batchRefreshKeys is a multiple of probeWindow.
+// The batch pipeline (see eachWindow) prefetches probeWindow keys at a
+// time. Refreshes fall between windows, so batchRefreshKeys is a multiple
+// of probeWindow.
 const (
 	batchRefreshKeys = 32
 	probeWindow      = 16
@@ -355,16 +358,36 @@ func groupAt(idxs []int, j int) int {
 }
 
 // eachWindow runs fn over the group's positions window by window, with
-// the refresh and probe a batch owes between windows. The caller holds
-// protection.
+// the refresh a batch owes between windows, as a two-stage software
+// pipeline of prefetches (group prefetching, Chen et al., ICDE 2004).
+// Stage 1 runs one window ahead: it hashes window w+1's keys and
+// prefetches their index buckets. Stage 2, just before window w runs,
+// resolves each of its keys' index entries, whose buckets stage 1 warmed,
+// and prefetches the chain-head record's key, header and prev words and
+// its value. The misses of a window's keys overlap one another and the
+// previous window's work instead of forming the serial bucket → key →
+// prev → value chain that findKey and getOnce pay per key. The caller
+// holds protection.
+//
+// Prefetch rule: the pipeline changes nothing, and the per-key protocol
+// that fn runs re-resolves every key itself. The only mutable words the
+// pipeline loads are index entries (atomically) and the head address;
+// everything else it names is a prefetch, a hint outside the Go memory
+// model that neither faults nor races. So it may hint value lines, which
+// in-place writers change under the record lock, and a frame that is
+// turning over, which at worst warms a useless line.
 func (s *Session) eachWindow(keys []uint64, idxs []int, fn func(i int) error) error {
 	n := groupLen(keys, idxs)
+	var cur, next [probeWindow]uint64 // key hashes of windows w and w+1
+	s.prefetchBuckets(keys, idxs, 0, min(probeWindow, n), &next)
 	for w := 0; w < n; w += probeWindow {
 		end := min(w+probeWindow, n)
 		if w > 0 && w%batchRefreshKeys == 0 {
 			s.es.Refresh()
 		}
-		s.probe(keys, idxs, w, end)
+		cur = next
+		s.prefetchBuckets(keys, idxs, end, min(end+probeWindow, n), &next)
+		s.prefetchRecords(cur[:end-w])
 		for j := w; j < end; j++ {
 			if err := fn(groupAt(idxs, j)); err != nil {
 				return err
@@ -374,44 +397,47 @@ func (s *Session) eachWindow(keys []uint64, idxs []int, fn func(i int) error) er
 	return nil
 }
 
-// probe warms the lines the group's positions [w, end) will touch first:
-// every key's index bucket, then each chain head's key and header word.
-// The loads within a pass are independent, so their cache misses overlap
-// instead of forming the serial bucket → key → header chain that findKey
-// pays per key. It changes nothing; the per-key protocol that follows
-// re-resolves every key itself.
-//
-// Probe rule: a probe loads only words that are atomically published or
-// written before the index CAS that makes a record reachable — index
-// entries, keys, and headers via Load. It never loads value bytes, which
-// in-place writers change under the record lock. The caller holds
-// protection, so a frame at or above the head boundary stays
-// materialized while the probe runs.
-func (s *Session) probe(keys []uint64, idxs []int, w, end int) {
+// prefetchBuckets is eachWindow's stage 1 for the group's positions
+// [w, end): it stores their key hashes in hashes and prefetches each
+// one's index bucket.
+func (s *Session) prefetchBuckets(keys []uint64, idxs []int, w, end int, hashes *[probeWindow]uint64) {
 	ix := s.st.ix
-	var hashes, heads [probeWindow]uint64
-	var sink uint64
 	for j := w; j < end; j++ {
 		h := util.HashKey(keys[groupAt(idxs, j)])
 		hashes[j-w] = h
-		sink += ix.buckets[h&ix.mask].entries[0].Load()
+		prefetch(unsafe.Pointer(&ix.buckets[h&ix.mask]))
 	}
-	for j := w; j < end; j++ {
-		if e := ix.find(hashes[j-w]); e != nil {
-			heads[j-w] = entryAddr(e.Load())
-		}
-	}
-	head := s.st.log.headAddr.Load()
-	for j := w; j < end; j++ {
-		addr := heads[j-w]
-		if addr == InvalidAddr || addr < head {
+}
+
+// prefetchRecords is eachWindow's stage 2: for each hash it resolves the
+// index entry and, when the chain head is in memory, prefetches the lines
+// findKey and the value copy will touch.
+func (s *Session) prefetchRecords(hashes []uint64) {
+	st := s.st
+	vs := st.cfg.ValueSize
+	head := st.log.headAddr.Load()
+	for _, h := range hashes {
+		e := st.ix.find(h)
+		if e == nil {
 			continue
 		}
-		if f, slot := s.st.memRecord(addr); f != nil {
-			sink += f.keys[slot] + f.hdrs[slot].Load()
+		addr := entryAddr(e.Load())
+		if addr < head { // on disk, or InvalidAddr
+			continue
+		}
+		f, slot := st.log.frameFor(st.log.pageOf(addr)), st.log.slotOf(addr)
+		prefetch(unsafe.Pointer(&f.keys[slot]))
+		prefetch(unsafe.Pointer(&f.hdrs[slot]))
+		prefetch(unsafe.Pointer(&f.prevs[slot]))
+		// The value's first and last byte; one hint when they share a
+		// line, as a line-aligned value of at most 64 bytes does. A
+		// second hint for a line already in flight measured slower.
+		first, last := unsafe.Pointer(&f.vals[slot*vs]), unsafe.Pointer(&f.vals[(slot+1)*vs-1])
+		prefetch(first)
+		if uintptr(first)>>6 != uintptr(last)>>6 {
+			prefetch(last)
 		}
 	}
-	s.sink += sink
 }
 
 // Get reads the value for key into dst. Under bounded-staleness consistency

@@ -196,6 +196,39 @@ func TestEvictionToDisk(t *testing.T) {
 	}
 }
 
+// TestDiskGetAllocFree checks that a Get served from the disk region
+// reads into the session's record buffer instead of allocating one.
+func TestDiskGetAllocFree(t *testing.T) {
+	const vs = 16
+	st := testStore(t, vs, 32, 6, 2, -1)
+	s, _ := st.NewSession()
+	defer s.Close()
+	for k := uint64(1); k <= 1000; k++ {
+		if err := s.Put(k, val(vs, k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c := classify(t, s, 1); c != classDisk {
+		t.Fatalf("key 1 is %s, want disk", classNames[c])
+	}
+	dst := make([]byte, vs)
+	reads := st.Stats().DiskReads
+	allocs := testing.AllocsPerRun(100, func() {
+		if found, err := s.Get(1, dst); err != nil || !found {
+			t.Fatalf("Get(1) = %v, %v", found, err)
+		}
+	})
+	if !bytes.Equal(dst, val(vs, 1)) {
+		t.Fatal("disk read returned the wrong value")
+	}
+	if st.Stats().DiskReads == reads {
+		t.Fatal("Get did not read the disk")
+	}
+	if allocs != 0 {
+		t.Fatalf("disk-region Get: %.1f allocs/op, want 0", allocs)
+	}
+}
+
 // TestUpdateAfterEviction updates cold keys, forcing the RCU append path.
 func TestUpdateAfterEviction(t *testing.T) {
 	const vs = 16
@@ -507,6 +540,56 @@ func TestConcurrentEvictionStress(t *testing.T) {
 		}
 		if found && !bytes.Equal(dst, val(vs, k)) {
 			t.Fatalf("key %d corrupted", k)
+		}
+	}
+}
+
+// TestOpenPageWaitsForPublish runs more appending sessions than a page
+// has records, so the first slot of page p+1 is often taken while page
+// p's opener still waits for its frame. Freezing p then must wait for p
+// to be published: a page frozen before its opener publishes it reaches
+// the flusher in a frame still holding an older page.
+func TestOpenPageWaitsForPublish(t *testing.T) {
+	const (
+		vs      = 8
+		workers = 8
+		iters   = 300
+	)
+	st := testStore(t, vs, 2, 4, 1, -1)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s, err := st.NewSession()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer s.Close()
+			for i := 0; i < iters; i++ {
+				k := uint64(w*iters+i) + 1 // every Put appends
+				if err := s.Put(k, val(vs, k)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	s, _ := st.NewSession()
+	defer s.Close()
+	dst := make([]byte, vs)
+	for k := uint64(1); k <= workers*iters; k++ {
+		found, err := s.Get(k, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !found || !bytes.Equal(dst, val(vs, k)) {
+			t.Fatalf("key %d: found=%v, value mismatch", k, found)
 		}
 	}
 }
