@@ -364,10 +364,11 @@ func groupAt(idxs []int, j int) int {
 // prefetches their index buckets. Stage 2, just before window w runs,
 // resolves each of its keys' index entries, whose buckets stage 1 warmed,
 // and prefetches the chain-head record's key, header and prev words and
-// its value. The misses of a window's keys overlap one another and the
-// previous window's work instead of forming the serial bucket → key →
-// prev → value chain that findKey and getOnce pay per key. The caller
-// holds protection.
+// its value's first line (the whole value when it fits one line, as a
+// line-aligned value of at most 64 bytes does). The misses of a window's
+// keys overlap one another and the previous window's work instead of
+// forming the serial bucket → key → prev → value chain that findKey and
+// getOnce pay per key. The caller holds protection.
 //
 // Prefetch rule: the pipeline changes nothing, and the per-key protocol
 // that fn runs re-resolves every key itself. The only mutable words the
@@ -411,7 +412,7 @@ func (s *Session) prefetchBuckets(keys []uint64, idxs []int, w, end int, hashes 
 
 // prefetchRecords is eachWindow's stage 2: for each hash it resolves the
 // index entry and, when the chain head is in memory, prefetches the lines
-// findKey and the value copy will touch.
+// findKey touches and the value's first line.
 func (s *Session) prefetchRecords(hashes []uint64) {
 	st := s.st
 	vs := st.cfg.ValueSize
@@ -429,14 +430,7 @@ func (s *Session) prefetchRecords(hashes []uint64) {
 		prefetch(unsafe.Pointer(&f.keys[slot]))
 		prefetch(unsafe.Pointer(&f.hdrs[slot]))
 		prefetch(unsafe.Pointer(&f.prevs[slot]))
-		// The value's first and last byte; one hint when they share a
-		// line, as a line-aligned value of at most 64 bytes does. A
-		// second hint for a line already in flight measured slower.
-		first, last := unsafe.Pointer(&f.vals[slot*vs]), unsafe.Pointer(&f.vals[(slot+1)*vs-1])
-		prefetch(first)
-		if uintptr(first)>>6 != uintptr(last)>>6 {
-			prefetch(last)
-		}
+		prefetch(unsafe.Pointer(&f.vals[slot*vs]))
 	}
 }
 
