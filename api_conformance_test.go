@@ -331,6 +331,10 @@ func TestAPITwoModels(t *testing.T) {
 		if st.Gets == 0 || st.Puts == 0 || st.BatchGets == 0 || st.BatchPuts == 0 {
 			t.Fatalf("stats dropped counters: %+v", st)
 		}
+		// Every engine and target times its operations.
+		if st.LatGetBatch.Count == 0 || st.LatPutBatch.Count == 0 || st.LatGet.Count == 0 {
+			t.Fatalf("stats dropped latency summaries: %+v", st)
+		}
 	})
 }
 
@@ -772,6 +776,18 @@ func TestClusterReplicaRouting(t *testing.T) {
 		if err := sa.Put(k, emb); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// A replica that has not applied a key yet misses and the read falls
+	// back to the primary, so wait until n2 holds every write to n0: the
+	// BSP pass's first-touch write-backs and the ASP puts, one sequence
+	// each.
+	wantApplied := uint64(2 * len(keys))
+	deadline := time.Now().Add(10 * time.Second)
+	for regs["n2"].ReplWatermark() < wantApplied {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica applied %d of %d writes", regs["n2"].ReplWatermark(), wantApplied)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	for _, k := range keys {
 		if err := sa.Get(k, emb); err != nil {

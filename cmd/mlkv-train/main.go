@@ -23,11 +23,8 @@ import (
 	"time"
 
 	mlkv "github.com/llm-db/mlkv-go"
-	"github.com/llm-db/mlkv-go/internal/bptree"
 	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/data"
-	"github.com/llm-db/mlkv-go/internal/kv"
-	"github.com/llm-db/mlkv-go/internal/lsm"
 	"github.com/llm-db/mlkv-go/internal/models"
 	"github.com/llm-db/mlkv-go/internal/train"
 )
@@ -79,7 +76,7 @@ func main() {
 			// One connection per training worker (a BSP worker's blocked
 			// read must not queue behind its unblocker's write on a shared
 			// connection) plus slack for the evaluation handle and the
-			// remote backend's lookahead worker.
+			// remote backend's lookahead workers.
 			nc = *workers + 2
 		}
 		model := *modelID
@@ -107,11 +104,14 @@ func main() {
 			defer os.RemoveAll(d)
 		}
 		switch *backendN {
-		case "mlkv", "faster":
-			// The public API against a local directory target — the same
-			// code path a remote run takes, minus the wire.
+		case "mem":
+			backend = train.NewMemBackend("mem", *dim, init)
+		case "mlkv", "faster", "lsm", "bptree":
+			// Every disk backend is a model opened through the public API
+			// against a local directory target — the same code path a
+			// remote run takes, minus the wire. Only MLKV runs the clock.
 			bound := *staleness
-			if *backendN == "faster" {
+			if *backendN != "mlkv" {
 				bound = mlkv.Disabled
 			}
 			db, err := mlkv.Connect(d)
@@ -124,6 +124,7 @@ func main() {
 				model = *task
 			}
 			mdl, err := db.Open(model, *dim,
+				mlkv.WithEngine(*backendN),
 				mlkv.WithStalenessBound(bound),
 				mlkv.WithMemory(int64(*bufferMB)<<20),
 				mlkv.WithExpectedKeys(*keys),
@@ -134,22 +135,6 @@ func main() {
 			}
 			defer mdl.Close()
 			backend = train.NewModelBackend(mdl, *backendN == "mlkv" && *lookahead > 0)
-		case "lsm":
-			s, err := lsm.Open(lsm.Config{Dir: d, ValueSize: *dim * 4, CacheBytes: *bufferMB << 19, MemtableBytes: *bufferMB << 19})
-			if err != nil {
-				fail(err)
-			}
-			defer s.Close()
-			backend = train.NewKVBackend(kv.WrapLSM(s), *dim, init)
-		case "bptree":
-			s, err := bptree.Open(bptree.Config{Dir: d, ValueSize: *dim * 4, PoolPages: (*bufferMB << 20) / 4096})
-			if err != nil {
-				fail(err)
-			}
-			defer s.Close()
-			backend = train.NewKVBackend(kv.WrapBPTree(s), *dim, init)
-		case "mem":
-			backend = train.NewMemBackend("mem", *dim, init)
 		default:
 			fmt.Fprintf(os.Stderr, "unknown backend %q\n", *backendN)
 			os.Exit(2)

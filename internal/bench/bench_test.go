@@ -296,8 +296,7 @@ func BenchmarkCluster(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer m.Close()
-	sess := func() (sweepSession, error) { return m.NewSession() }
-	if err := loadKeys(sess, records, dim); err != nil {
+	if err := loadKeys(m, records, dim); err != nil {
 		b.Fatal(err)
 	}
 	s, err := m.NewSession()

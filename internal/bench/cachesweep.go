@@ -9,7 +9,6 @@ import (
 	"time"
 
 	mlkv "github.com/llm-db/mlkv-go"
-	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/latency"
@@ -48,30 +47,27 @@ func (e *Env) CacheSweep() error {
 		var rates [2]float64
 		var hitPct float64
 		for pass, cacheEntries := range []int{0, entries} {
-			tbl, err := core.OpenTable(core.Options{
-				Dir: e.dir("cache"), Dim: dim, StalenessBound: core.BoundASP,
-				MemoryBytes: int64(bufKB) << 10, RecordsPerPage: 256,
-				ExpectedKeys: records, CacheEntries: cacheEntries,
-			})
+			m, err := e.openModel("cache", dim, mlkv.WithStalenessBound(mlkv.ASP),
+				mlkv.WithMemory(int64(bufKB)<<10), mlkv.WithExpectedKeys(records),
+				mlkv.WithCache(cacheEntries))
 			if err != nil {
 				return err
 			}
-			tableSess := func() (sweepSession, error) { return tbl.NewSession() }
-			if err := loadKeys(tableSess, records, dim); err != nil {
-				tbl.Close()
+			if err := loadKeys(m, records, dim); err != nil {
+				m.Close()
 				return err
 			}
-			rate, lat, err := measureZipf(tableSess, records, dim, batch, workers, dur, 131)
+			rate, lat, err := measureZipf(m, records, dim, batch, workers, dur, 131)
 			if err != nil {
-				tbl.Close()
+				m.Close()
 				return err
 			}
 			rates[pass] = rate
-			ts := tbl.TableStats()
-			if lookups := ts.CacheHits + ts.CacheMisses; lookups > 0 {
-				hitPct = 100 * float64(ts.CacheHits) / float64(lookups)
+			st := m.Stats()
+			if lookups := st.CacheHits + st.CacheMisses; lookups > 0 {
+				hitPct = 100 * float64(st.CacheHits) / float64(lookups)
 			}
-			tbl.Close()
+			m.Close()
 			r := Result{
 				Name:      fmt.Sprintf("zipf-read/batch=%d/cache=%d", batch, cacheEntries),
 				OpsPerSec: rate,
@@ -79,8 +75,8 @@ func (e *Env) CacheSweep() error {
 					"records": records, "dim": dim, "buffer_kb": bufKB,
 					"workers": workers, "bound": "asp", "cache_entries": cacheEntries,
 					"batch": batch, "zipf": 0.99,
-					"cache_hits": ts.CacheHits, "cache_misses": ts.CacheMisses,
-					"cache_evictions": ts.CacheEvictions,
+					"cache_hits": st.CacheHits, "cache_misses": st.CacheMisses,
+					"cache_evictions": st.CacheEvictions,
 				},
 			}
 			r.SetLatency(lat)
@@ -155,12 +151,11 @@ func (e *Env) cacheSweepRemote() error {
 			if err != nil {
 				return err
 			}
-			modelSess := func() (sweepSession, error) { return m.NewSession() }
-			if err := loadKeys(modelSess, records, dim); err != nil {
+			if err := loadKeys(m, records, dim); err != nil {
 				m.Close()
 				return err
 			}
-			rate, lat, err := measureZipf(modelSess, records, dim, batch, workers, dur, 211)
+			rate, lat, err := measureZipf(m, records, dim, batch, workers, dur, 211)
 			if err != nil {
 				m.Close()
 				return err
@@ -190,20 +185,10 @@ func (e *Env) cacheSweepRemote() error {
 	return nil
 }
 
-// sweepSession is the read/write surface the cache sweep drives; both
-// core.Session (local leg) and mlkv.Session (remote leg) satisfy it, so
-// one loader and one measurer serve both.
-type sweepSession interface {
-	Get(key uint64, dst []float32) error
-	GetBatch(keys []uint64, dst []float32) error
-	PutBatch(keys []uint64, vals []float32) error
-	Close()
-}
-
 // loadKeys writes every key once so the sweep reads a fully materialized
 // model.
-func loadKeys(newSess func() (sweepSession, error), records uint64, dim int) error {
-	sess, err := newSess()
+func loadKeys(m *mlkv.Model, records uint64, dim int) error {
+	sess, err := m.NewSession()
 	if err != nil {
 		return err
 	}
@@ -232,7 +217,7 @@ func loadKeys(newSess func() (sweepSession, error), records uint64, dim int) err
 // per-operation (one Get or one whole GetBatch) latency distribution
 // recorded across every worker. batch 1 uses the scalar Get path. seed0
 // varies the key streams between legs.
-func measureZipf(newSess func() (sweepSession, error), records uint64, dim, batch, workers int, dur time.Duration, seed0 uint64) (float64, latency.Snapshot, error) {
+func measureZipf(m *mlkv.Model, records uint64, dim, batch, workers int, dur time.Duration, seed0 uint64) (float64, latency.Snapshot, error) {
 	var lat latency.Histogram
 	var keysRead atomic.Int64
 	var errMu sync.Mutex
@@ -250,7 +235,7 @@ func measureZipf(newSess func() (sweepSession, error), records uint64, dim, batc
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sess, err := newSess()
+			sess, err := m.NewSession()
 			if err != nil {
 				fail(err)
 				return

@@ -103,7 +103,7 @@ func (e *Env) clusterNodes(n int, records uint64, bufKB int) (string, func(), er
 // and deadlock every worker on writes none of them can reach. keys/s
 // counts reads; the latency distribution is the read op's (the leg where
 // the blocking-bound serial gate shows up).
-func measureClusterMix(newSess func() (sweepSession, error), records uint64, dim, batch, workers int, dur time.Duration, seed0 uint64) (float64, latency.Snapshot, error) {
+func measureClusterMix(m *mlkv.Model, records uint64, dim, batch, workers int, dur time.Duration, seed0 uint64) (float64, latency.Snapshot, error) {
 	var lat latency.Histogram
 	var keysRead atomic.Int64
 	var errMu sync.Mutex
@@ -121,7 +121,7 @@ func measureClusterMix(newSess func() (sweepSession, error), records uint64, dim
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sess, err := newSess()
+			sess, err := m.NewSession()
 			if err != nil {
 				fail(err)
 				return
@@ -215,8 +215,7 @@ func (e *Env) clusterLeg(target string, nodes int, records uint64, dim, workers 
 				return err
 			}
 			defer m.Close()
-			sess := func() (sweepSession, error) { return m.NewSession() }
-			if err := loadKeys(sess, records, dim); err != nil {
+			if err := loadKeys(m, records, dim); err != nil {
 				return err
 			}
 			for _, batch := range []int{1, 256} {
@@ -224,9 +223,9 @@ func (e *Env) clusterLeg(target string, nodes int, records uint64, dim, workers 
 				var rate float64
 				var lat latency.Snapshot
 				if bc.bound == mlkv.ASP {
-					rate, lat, err = measureZipf(sess, records, dim, batch, workers, dur, seed)
+					rate, lat, err = measureZipf(m, records, dim, batch, workers, dur, seed)
 				} else {
-					rate, lat, err = measureClusterMix(sess, records, dim, batch, workers, dur, seed)
+					rate, lat, err = measureClusterMix(m, records, dim, batch, workers, dur, seed)
 				}
 				if err != nil {
 					return err

@@ -92,8 +92,8 @@ func (e *Env) EngineSweep() error {
 	return e.engineSweepAPI()
 }
 
-// engineSweepTrain is the training leg: batched async DLRM over each
-// engine behind the same lifted kv seam, so the table shows what the
+// engineSweepTrain is the training leg: batched async DLRM over a local
+// public-API model on each engine, so the table shows what the
 // engine choice costs an actual gather/scatter training loop rather than
 // a synthetic point workload.
 func (e *Env) engineSweepTrain() error {
@@ -109,16 +109,14 @@ func (e *Env) engineSweepTrain() error {
 		if kv.ClockFree(eng) {
 			bound = -1
 		}
-		store, err := kv.OpenEngine(eng, kv.ShardedConfig{
-			Dir: e.dir("engines-train-" + eng), Shards: 4, ValueSize: s.Dim * 4,
-			MemoryBytes: int64(bufKB) << 10, RecordsPerPage: 256,
-			ExpectedKeys: keys, StalenessBound: bound,
-		}, eng)
+		m, err := e.openModel("engines-train-"+eng, s.Dim, mlkv.WithEngine(eng), mlkv.WithShards(4),
+			mlkv.WithStalenessBound(bound), mlkv.WithMemory(int64(bufKB)<<10),
+			mlkv.WithExpectedKeys(keys), mlkv.WithInitializer(e.ctrInit()))
 		if err != nil {
 			return err
 		}
-		res, err := train.TrainCTR(e.ctrOpts(train.NewKVBackend(store, s.Dim, e.ctrInit()), train.ModeAsync, 0))
-		if cerr := store.Close(); err == nil {
+		res, err := train.TrainCTR(e.ctrOpts(train.NewModelBackend(m, false), train.ModeAsync, 0))
+		if cerr := m.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
@@ -179,12 +177,11 @@ func (e *Env) engineSweepAPI() error {
 		if err != nil {
 			return err
 		}
-		sess := func() (sweepSession, error) { return m.NewSession() }
-		if err := loadKeys(sess, records, dim); err != nil {
+		if err := loadKeys(m, records, dim); err != nil {
 			m.Close()
 			return err
 		}
-		rate, lat, err := measureZipf(sess, records, dim, batch, workers, dur, 307)
+		rate, lat, err := measureZipf(m, records, dim, batch, workers, dur, 307)
 		if cerr := m.Close(); err == nil {
 			err = cerr
 		}

@@ -7,11 +7,10 @@ import (
 	"path/filepath"
 	"time"
 
-	"github.com/llm-db/mlkv-go/internal/bptree"
+	mlkv "github.com/llm-db/mlkv-go"
 	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/data"
 	"github.com/llm-db/mlkv-go/internal/kv"
-	"github.com/llm-db/mlkv-go/internal/lsm"
 	"github.com/llm-db/mlkv-go/internal/models"
 	"github.com/llm-db/mlkv-go/internal/train"
 )
@@ -98,8 +97,8 @@ type Env struct {
 	// hedged remote rows (the -hedge flag); 0 uses the adaptive delay
 	// derived from the pool's own observed tail.
 	HedgeDelay time.Duration
-	n       int
-	results []Result
+	n          int
+	results    []Result
 }
 
 // NewEnv builds an Env writing results to out and data under workDir.
@@ -118,59 +117,49 @@ func (e *Env) printf(format string, args ...any) {
 	fmt.Fprintf(e.Out, format, args...)
 }
 
-// mlkvTable opens a core.Table sized to bufKB kilobytes of memory,
-// partitioned across e.Shards shards.
-func (e *Env) mlkvTable(tag string, dim int, bound int64, bufKB int, expectedKeys uint64, init core.Initializer) (*core.Table, error) {
-	return core.OpenTable(core.Options{
-		Dir: e.dir(tag), Dim: dim, StalenessBound: bound, Shards: e.Shards,
-		MemoryBytes: int64(bufKB) << 10, RecordsPerPage: 256,
-		ExpectedKeys: expectedKeys, Init: init,
-	})
+// openModel opens the model tag in a fresh local directory through the
+// public API — the stack the server and the perfbench workloads run.
+// Closing the model closes its DB.
+func (e *Env) openModel(tag string, dim int, opts ...mlkv.Option) (*mlkv.Model, error) {
+	return mlkv.Open(tag, dim, append([]mlkv.Option{mlkv.WithDir(e.dir(tag))}, opts...)...)
 }
 
-// backendSet builds the Figure 7 engine lineup at one buffer size.
+// mlkvTable opens a hybrid-log model at the given staleness bound, sized
+// to bufKB kilobytes of memory and partitioned across e.Shards shards.
+func (e *Env) mlkvTable(tag string, dim int, bound int64, bufKB int, expectedKeys uint64, init core.Initializer) (*mlkv.Model, error) {
+	return e.openModel(tag, dim, mlkv.WithStalenessBound(bound), mlkv.WithShards(e.Shards),
+		mlkv.WithMemory(int64(bufKB)<<10), mlkv.WithExpectedKeys(expectedKeys), mlkv.WithInitializer(init))
+}
+
+// backendSet builds the Figure 7 engine lineup at one buffer size: MLKV
+// (clock on, look-ahead on), plain FASTER (clock off), and unsharded LSM
+// and B+tree models under the same memory budget.
 func (e *Env) backendSet(dim int, bound int64, bufKB int, keys uint64, init core.Initializer) (map[string]train.Backend, func(), error) {
-	closers := []func(){}
 	out := map[string]train.Backend{}
-
-	mt, err := e.mlkvTable("mlkv", dim, bound, bufKB, keys, init)
-	if err != nil {
-		return nil, nil, err
-	}
-	closers = append(closers, func() { mt.Close() })
-	out["mlkv"] = train.NewTableBackend(mt, true)
-
-	ft, err := e.mlkvTable("faster", dim, core.BoundDisabled, bufKB, keys, init)
-	if err != nil {
-		return nil, nil, err
-	}
-	closers = append(closers, func() { ft.Close() })
-	out["faster"] = train.NewTableBackend(ft, false)
-
-	ls, err := lsm.Open(lsm.Config{
-		Dir: e.dir("lsm"), ValueSize: dim * 4,
-		MemtableBytes: bufKB << 9, CacheBytes: bufKB << 9, // split budget half/half
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	closers = append(closers, func() { ls.Close() })
-	out["lsm"] = train.NewKVBackend(kv.WrapLSM(ls), dim, init)
-
-	pool := (bufKB << 10) / 4096
-	bt, err := bptree.Open(bptree.Config{
-		Dir: e.dir("bptree"), ValueSize: dim * 4, PoolPages: pool,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	closers = append(closers, func() { bt.Close() })
-	out["bptree"] = train.NewKVBackend(kv.WrapBPTree(bt), dim, init)
-
+	var opened []*mlkv.Model
 	closeAll := func() {
-		for _, c := range closers {
-			c()
+		for _, m := range opened {
+			m.Close()
 		}
+	}
+	for _, b := range []struct {
+		name  string
+		bound int64
+		opts  []mlkv.Option
+	}{
+		{"mlkv", bound, []mlkv.Option{mlkv.WithShards(e.Shards)}},
+		{"faster", mlkv.Disabled, []mlkv.Option{mlkv.WithShards(e.Shards)}},
+		{"lsm", mlkv.Disabled, []mlkv.Option{mlkv.WithEngine(kv.EngineLSM)}},
+		{"bptree", mlkv.Disabled, []mlkv.Option{mlkv.WithEngine(kv.EngineBPTree)}},
+	} {
+		m, err := e.openModel(b.name, dim, append(b.opts, mlkv.WithStalenessBound(b.bound),
+			mlkv.WithMemory(int64(bufKB)<<10), mlkv.WithExpectedKeys(keys), mlkv.WithInitializer(init))...)
+		if err != nil {
+			closeAll()
+			return nil, nil, err
+		}
+		opened = append(opened, m)
+		out[b.name] = train.NewModelBackend(m, b.name == "mlkv")
 	}
 	return out, closeAll, nil
 }

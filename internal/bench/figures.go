@@ -31,7 +31,7 @@ func (e *Env) Fig2() error {
 		if err != nil {
 			return err
 		}
-		res, err := train.TrainCTR(e.ctrOpts(train.NewTableBackend(tbl, false), mode.mode, 0))
+		res, err := train.TrainCTR(e.ctrOpts(train.NewModelBackend(tbl, false), mode.mode, 0))
 		tbl.Close()
 		if err != nil {
 			return err
@@ -79,7 +79,7 @@ func (e *Env) Fig6() error {
 	if err != nil {
 		return err
 	}
-	if err := runCTR("mlkv", train.NewTableBackend(tbl, true)); err != nil {
+	if err := runCTR("mlkv", train.NewModelBackend(tbl, true)); err != nil {
 		tbl.Close()
 		return err
 	}
@@ -102,7 +102,7 @@ func (e *Env) Fig6() error {
 	if err != nil {
 		return err
 	}
-	if err := runKGE("mlkv", train.NewTableBackend(ktbl, true)); err != nil {
+	if err := runKGE("mlkv", train.NewModelBackend(ktbl, true)); err != nil {
 		ktbl.Close()
 		return err
 	}
@@ -125,7 +125,7 @@ func (e *Env) Fig6() error {
 	if err != nil {
 		return err
 	}
-	if err := runGNN("mlkv", train.NewTableBackend(gtbl, true)); err != nil {
+	if err := runGNN("mlkv", train.NewModelBackend(gtbl, true)); err != nil {
 		gtbl.Close()
 		return err
 	}
@@ -224,7 +224,7 @@ func (e *Env) Fig8() error {
 		if bound == 0 {
 			mode = train.ModeSync
 		}
-		resC, err := train.TrainCTR(e.ctrOpts(train.NewTableBackend(tbl, true), mode, 16))
+		resC, err := train.TrainCTR(e.ctrOpts(train.NewModelBackend(tbl, true), mode, 16))
 		tbl.Close()
 		if err != nil {
 			return err
@@ -233,7 +233,7 @@ func (e *Env) Fig8() error {
 		if err != nil {
 			return err
 		}
-		resK, err := train.TrainKGE(e.kgeOpts(train.NewTableBackend(ktbl, true), 16, false))
+		resK, err := train.TrainKGE(e.kgeOpts(train.NewModelBackend(ktbl, true), 16, false))
 		ktbl.Close()
 		if err != nil {
 			return err
@@ -263,7 +263,7 @@ func (e *Env) Fig9() error {
 			if err != nil {
 				return err
 			}
-			res, err := train.TrainCTR(e.ctrOpts(train.NewTableBackend(tbl, la > 0), mode, la))
+			res, err := train.TrainCTR(e.ctrOpts(train.NewModelBackend(tbl, la > 0), mode, la))
 			tbl.Close()
 			if err != nil {
 				return err
@@ -297,7 +297,7 @@ func (e *Env) Fig9() error {
 			if err != nil {
 				return err
 			}
-			res, err := train.TrainKGE(e.kgeOpts(train.NewTableBackend(tbl, v.la > 0), v.la, v.beta))
+			res, err := train.TrainKGE(e.kgeOpts(train.NewModelBackend(tbl, v.la > 0), v.la, v.beta))
 			tbl.Close()
 			if err != nil {
 				return err
@@ -417,7 +417,7 @@ func (e *Env) Fig11() error {
 			if err != nil {
 				return err
 			}
-			res, err := train.TrainGNN(e.gnnOpts(train.NewTableBackend(tbl, la > 0), la))
+			res, err := train.TrainGNN(e.gnnOpts(train.NewModelBackend(tbl, la > 0), la))
 			tbl.Close()
 			if err != nil {
 				return err
@@ -452,7 +452,7 @@ func (e *Env) Fig11() error {
 		if err != nil {
 			return err
 		}
-		o := e.gnnOpts(train.NewTableBackend(tbl, v.la > 0), v.la)
+		o := e.gnnOpts(train.NewModelBackend(tbl, v.la > 0), v.la)
 		o.EvalEvery = evalEvery
 		res, err := train.TrainGNN(o)
 		tbl.Close()

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	mlkv "github.com/llm-db/mlkv-go"
-	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/latency"
@@ -17,8 +16,8 @@ import (
 
 // LatencySweep is the tail-latency map of the read path: the same
 // Zipf(0.99) workload as the cache sweep, swept across offered load
-// (worker count × batch size) on both tiers — the in-process core.Table
-// and a loopback mlkv-server — with the staleness-aware hot tier off and
+// (worker count × batch size) on both tiers — an in-process model and a
+// loopback mlkv-server — with the staleness-aware hot tier off and
 // on. Throughput sweeps answer "how fast"; this one answers "how late":
 // the p99/p999 columns show where queueing starts (rising workers), what
 // a framed round trip costs at the tail (local vs remote at batch=1),
@@ -39,13 +38,13 @@ func (e *Env) LatencySweep() error {
 	e.printf("records=%d dim=%d buffer=%dKB tier=%d entries dur=%s/cell\n",
 		records, dim, bufKB, entries, dur)
 
-	measure := func(tier string, cacheEntries int, newSess func() (sweepSession, error), seed0 uint64, extra map[string]any) error {
+	measure := func(tier string, cacheEntries int, m *mlkv.Model, seed0 uint64, extra map[string]any) error {
 		e.printf("-- %s cache=%d --\n", tier, cacheEntries)
 		e.printf("%-8s %-8s %14s %10s %10s %10s\n",
 			"workers", "batch", "keys/s", "p50-µs", "p99-µs", "p999-µs")
 		for _, batch := range []int{1, 256} {
 			for _, workers := range workerPoints {
-				rate, lat, err := measureZipf(newSess, records, dim, batch, workers, dur, seed0+uint64(batch*1000+workers))
+				rate, lat, err := measureZipf(m, records, dim, batch, workers, dur, seed0+uint64(batch*1000+workers))
 				if err != nil {
 					return err
 				}
@@ -73,23 +72,20 @@ func (e *Env) LatencySweep() error {
 		return nil
 	}
 
-	// Local tier: the core table, cache off then on.
+	// Local tier: an in-process model, cache off then on.
 	for _, cacheEntries := range []int{0, entries} {
-		tbl, err := core.OpenTable(core.Options{
-			Dir: e.dir("latency"), Dim: dim, StalenessBound: core.BoundASP,
-			MemoryBytes: int64(bufKB) << 10, RecordsPerPage: 256,
-			ExpectedKeys: records, CacheEntries: cacheEntries,
-		})
+		m, err := e.openModel("latency", dim, mlkv.WithStalenessBound(mlkv.ASP),
+			mlkv.WithMemory(int64(bufKB)<<10), mlkv.WithExpectedKeys(records),
+			mlkv.WithCache(cacheEntries))
 		if err != nil {
 			return err
 		}
-		tableSess := func() (sweepSession, error) { return tbl.NewSession() }
-		if err := loadKeys(tableSess, records, dim); err != nil {
-			tbl.Close()
+		if err := loadKeys(m, records, dim); err != nil {
+			m.Close()
 			return err
 		}
-		err = measure("local", cacheEntries, tableSess, 401, nil)
-		tbl.Close()
+		err = measure("local", cacheEntries, m, 401, nil)
+		m.Close()
 		if err != nil {
 			return err
 		}
@@ -141,12 +137,11 @@ func (e *Env) LatencySweep() error {
 		if err != nil {
 			return err
 		}
-		modelSess := func() (sweepSession, error) { return m.NewSession() }
-		if err := loadKeys(modelSess, records, dim); err != nil {
+		if err := loadKeys(m, records, dim); err != nil {
 			m.Close()
 			return err
 		}
-		err = measure("remote", cacheEntries, modelSess, 701, nil)
+		err = measure("remote", cacheEntries, m, 701, nil)
 		m.Close()
 		if err != nil {
 			return err
@@ -174,8 +169,7 @@ func (e *Env) LatencySweep() error {
 		return err
 	}
 	defer hm.Close()
-	hedgeSess := func() (sweepSession, error) { return hm.NewSession() }
-	if err := measure("remote-hedge", 0, hedgeSess, 701, hedgeCfg); err != nil {
+	if err := measure("remote-hedge", 0, hm, 701, hedgeCfg); err != nil {
 		return err
 	}
 	if st, err := hm.StatsCtx(context.Background()); err == nil {
@@ -191,7 +185,7 @@ func (e *Env) LatencySweep() error {
 // so the log flusher runs throughout the measurement. Measured twice —
 // flusher unpaced, then paced — the p99 delta is what FlushPace buys:
 // flush writes smeared over time instead of bursting under the reads.
-func (e *Env) flushPaceLeg(measure func(tier string, cacheEntries int, newSess func() (sweepSession, error), seed0 uint64, extra map[string]any) error) error {
+func (e *Env) flushPaceLeg(measure func(tier string, cacheEntries int, m *mlkv.Model, seed0 uint64, extra map[string]any) error) error {
 	s := e.Scale
 	records := s.YCSBRecords
 	dim := s.Dim
@@ -203,34 +197,31 @@ func (e *Env) flushPaceLeg(measure func(tier string, cacheEntries int, newSess f
 	}
 	const pace = 500 * time.Microsecond
 	for _, flushPace := range []time.Duration{0, pace} {
-		tbl, err := core.OpenTable(core.Options{
-			Dir: e.dir("latency-flush"), Dim: dim, StalenessBound: core.BoundASP,
-			MemoryBytes: int64(bufKB) << 10, RecordsPerPage: 256,
-			ExpectedKeys: records, FlushPace: flushPace,
-		})
+		m, err := e.openModel("latency-flush", dim, mlkv.WithStalenessBound(mlkv.ASP),
+			mlkv.WithMemory(int64(bufKB)<<10), mlkv.WithExpectedKeys(records),
+			mlkv.WithFlushPace(flushPace))
 		if err != nil {
 			return err
 		}
-		tableSess := func() (sweepSession, error) { return tbl.NewSession() }
-		if err := loadKeys(tableSess, records, dim); err != nil {
-			tbl.Close()
+		if err := loadKeys(m, records, dim); err != nil {
+			m.Close()
 			return err
 		}
 		stop := make(chan struct{})
 		writerDone := make(chan error, 1)
 		go func() {
-			writerDone <- flushWriter(tableSess, records, dim, stop)
+			writerDone <- flushWriter(m, records, dim, stop)
 		}()
 		tag := fmt.Sprintf("local-flush/pace=%dus", flushPace.Microseconds())
-		err = measure(tag, 0, tableSess, 877, map[string]any{
+		err = measure(tag, 0, m, 877, map[string]any{
 			"flush_pace_us": flushPace.Microseconds(), "concurrent_writer": true,
 		})
 		close(stop)
 		werr := <-writerDone
-		ts := tbl.TableStats()
+		st := m.Stats()
 		e.printf("flush: pages=%d group-commits=%d pace-stalls=%d\n",
-			ts.FlushedPages, ts.GroupCommits, ts.FlushPaceStalls)
-		tbl.Close()
+			st.FlushedPages, st.GroupCommits, st.FlushPaceStalls)
+		m.Close()
 		if err != nil {
 			return err
 		}
@@ -243,8 +234,8 @@ func (e *Env) flushPaceLeg(measure func(tier string, cacheEntries int, newSess f
 
 // flushWriter streams PutBatch traffic across the key space until stop
 // closes, keeping the log tail moving and the flusher busy.
-func flushWriter(newSess func() (sweepSession, error), records uint64, dim int, stop <-chan struct{}) error {
-	sess, err := newSess()
+func flushWriter(m *mlkv.Model, records uint64, dim int, stop <-chan struct{}) error {
+	sess, err := m.NewSession()
 	if err != nil {
 		return err
 	}

@@ -5,7 +5,7 @@ import (
 	"net"
 	"time"
 
-	"github.com/llm-db/mlkv-go/internal/core"
+	mlkv "github.com/llm-db/mlkv-go"
 	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/server"
@@ -15,7 +15,7 @@ import (
 // TrainBatchSweep measures what the batched gather/scatter path buys DLRM
 // training: the same model, workload, and key ordering run once with the
 // scalar per-key access path and once with one GetBatch + one PutBatch
-// per minibatch — first over an in-process MLKV table, then against a
+// per minibatch — first over an in-process MLKV model, then against a
 // mlkv-server over loopback, where every scalar Get/Put is a framed round
 // trip and batching collapses a minibatch's ~2×Fields×Batch trips into
 // two. Each configuration gets a fresh store so no run warms another.
@@ -79,16 +79,14 @@ func (e *Env) runTrainBatchCTR(scalar, remote bool, bufKB int, keys uint64) (*tr
 		shards = 4
 	}
 	if !remote {
-		tbl, err := core.OpenTable(core.Options{
-			Dir: e.dir("trainbatch"), Dim: e.Scale.Dim, StalenessBound: faster.BoundAsync,
-			Shards: shards, MemoryBytes: int64(bufKB) << 10, RecordsPerPage: 256,
-			ExpectedKeys: keys, Init: e.ctrInit(),
-		})
+		m, err := e.openModel("trainbatch", e.Scale.Dim, mlkv.WithStalenessBound(mlkv.ASP),
+			mlkv.WithShards(shards), mlkv.WithMemory(int64(bufKB)<<10),
+			mlkv.WithExpectedKeys(keys), mlkv.WithInitializer(e.ctrInit()))
 		if err != nil {
 			return nil, err
 		}
-		defer tbl.Close()
-		opts := e.ctrOpts(train.NewTableBackend(tbl, false), train.ModeAsync, 0)
+		defer m.Close()
+		opts := e.ctrOpts(train.NewModelBackend(m, false), train.ModeAsync, 0)
 		opts.Scalar = scalar
 		return train.TrainCTR(opts)
 	}

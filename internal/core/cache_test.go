@@ -1,27 +1,29 @@
-package core
+package core_test
 
 import (
 	"sync"
 	"testing"
-	"time"
+
+	mlkv "github.com/llm-db/mlkv-go"
+	"github.com/llm-db/mlkv-go/internal/core"
+	"github.com/llm-db/mlkv-go/internal/hotcache"
 )
 
-// newBareCache builds a cache without touching any table.
-func newBareCache(t *testing.T, capacity, dim int) *Cache {
-	t.Helper()
-	c := NewCache(capacity, dim)
-	t.Cleanup(c.Close)
-	return c
+// The float32 hot tier is the one the remote driver keeps client-side;
+// local models and the server keep the same structure over value bytes
+// (kv.WrapCached).
+func newBareCache(capacity, dim int) *hotcache.Cache[float32] {
+	return hotcache.New[float32](capacity, dim)
 }
 
 func TestCacheHitMissCounters(t *testing.T) {
-	c := newBareCache(t, 64, 2)
+	c := newBareCache(64, 2)
 	dst := make([]float32, 2)
-	if c.Get(1, dst, 0, BoundASP) {
+	if c.Get(1, dst, 0, core.BoundASP) {
 		t.Fatal("empty cache hit")
 	}
 	c.Put(1, []float32{1, 2}, 0)
-	if !c.Get(1, dst, 0, BoundASP) {
+	if !c.Get(1, dst, 0, core.BoundASP) {
 		t.Fatal("resident key missed")
 	}
 	if dst[0] != 1 || dst[1] != 2 {
@@ -37,20 +39,15 @@ func TestCacheHitMissCounters(t *testing.T) {
 // one shard, a Get refreshes recency, so the untouched key is the one
 // evicted when the shard overflows.
 func TestCacheEvictionOrder(t *testing.T) {
-	// Capacity 16 spreads 1 slot over each of the 16 shards; find three
-	// keys sharing a shard by probing insert/evict behavior is fragile, so
-	// instead use capacity 32 (2 per shard) and probe with Len.
-	c := newBareCache(t, 32, 1)
-	// Find three keys mapping to one shard: insert keys until Len stops
-	// growing — the key that evicted another shares that shard.
+	// Find three keys sharing a shard: with capacity 16 (one slot per
+	// shard), a key that leaves Len at 1 after key 100 evicted it.
 	dst := make([]float32, 1)
 	var shardKeys []uint64
 	for k := uint64(0); k < 256 && len(shardKeys) < 3; k++ {
-		c2 := newBareCache(t, 16, 1) // 1 slot per shard
+		c2 := newBareCache(16, 1)
 		c2.Put(100, []float32{100}, 0)
 		c2.Put(k, []float32{float32(k)}, 0)
 		if k != 100 && c2.Len() == 1 {
-			// k evicted 100 (or landed on 100's shard): same shard.
 			shardKeys = append(shardKeys, k)
 		}
 	}
@@ -58,17 +55,17 @@ func TestCacheEvictionOrder(t *testing.T) {
 		t.Fatalf("could not find 3 keys sharing a shard, got %d", len(shardKeys))
 	}
 	a, b, x := shardKeys[0], shardKeys[1], shardKeys[2]
-	c = newBareCache(t, 32, 1) // 2 slots per shard
+	c := newBareCache(32, 1) // 2 slots per shard
 	c.Put(a, []float32{1}, 0)
 	c.Put(b, []float32{2}, 0)
-	if !c.Get(a, dst, 0, BoundASP) { // refresh a: b becomes LRU
+	if !c.Get(a, dst, 0, core.BoundASP) { // refresh a: b becomes LRU
 		t.Fatal("a missing")
 	}
 	c.Put(x, []float32{3}, 0) // shard full: evicts b
-	if c.Get(b, dst, 0, BoundASP) {
+	if c.Get(b, dst, 0, core.BoundASP) {
 		t.Fatal("LRU key b survived eviction")
 	}
-	if !c.Get(a, dst, 0, BoundASP) || !c.Get(x, dst, 0, BoundASP) {
+	if !c.Get(a, dst, 0, core.BoundASP) || !c.Get(x, dst, 0, core.BoundASP) {
 		t.Fatal("recently used keys evicted")
 	}
 	if c.Stats().Evictions == 0 {
@@ -76,19 +73,43 @@ func TestCacheEvictionOrder(t *testing.T) {
 	}
 }
 
+func TestCacheLRUEviction(t *testing.T) {
+	c := newBareCache(16, 2) // 16 slots over 16 shards => 1 per shard
+	for k := uint64(0); k < 64; k++ {
+		c.Put(k, []float32{float32(k), 0}, 0)
+	}
+	if c.Len() > 16 {
+		t.Fatalf("cache exceeded capacity: %d", c.Len())
+	}
+	// Most recent key per shard must be resident.
+	got := make([]float32, 2)
+	if !c.Get(63, got, 0, core.BoundASP) {
+		t.Fatal("most recent key evicted")
+	}
+}
+
+func TestCacheInvalidate(t *testing.T) {
+	c := newBareCache(32, 2)
+	c.Put(1, []float32{1, 2}, 0)
+	c.Invalidate(1)
+	if c.Get(1, make([]float32, 2), 0, core.BoundASP) {
+		t.Fatal("invalidated key still cached")
+	}
+}
+
 func TestCacheDimMismatch(t *testing.T) {
-	c := newBareCache(t, 64, 4)
+	c := newBareCache(64, 4)
 	c.Put(1, []float32{1, 2, 3, 4}, 0)
 	// Wrong-length destination never hits.
-	if c.Get(1, make([]float32, 3), 0, BoundASP) {
+	if c.Get(1, make([]float32, 3), 0, core.BoundASP) {
 		t.Fatal("short dst served")
 	}
-	if c.Get(1, make([]float32, 5), 0, BoundASP) {
+	if c.Get(1, make([]float32, 5), 0, core.BoundASP) {
 		t.Fatal("long dst served")
 	}
 	// Wrong-length value is dropped, not truncated.
 	c.Put(2, []float32{1, 2}, 0)
-	if c.Get(2, make([]float32, 4), 0, BoundASP) {
+	if c.Get(2, make([]float32, 4), 0, core.BoundASP) {
 		t.Fatal("short value admitted")
 	}
 }
@@ -96,16 +117,16 @@ func TestCacheDimMismatch(t *testing.T) {
 // TestCacheStalenessBound is the contract the hot tier exists for: a
 // cached value must NOT be served once the clock gap exceeds the bound.
 func TestCacheStalenessBound(t *testing.T) {
-	c := newBareCache(t, 64, 1)
+	c := newBareCache(64, 1)
 	dst := make([]float32, 1)
 	c.Put(1, []float32{42}, 10) // filled at clock 10
 
 	// ASP: any gap is admissible.
-	if !c.Get(1, dst, 1<<40, BoundASP) {
+	if !c.Get(1, dst, 1<<40, core.BoundASP) {
 		t.Fatal("ASP refused a cached value")
 	}
 	// BSP: nothing is admissible, even at gap zero.
-	if c.Get(1, dst, 10, BoundBSP) {
+	if c.Get(1, dst, 10, core.BoundBSP) {
 		t.Fatal("BSP served a cached value")
 	}
 	// SSP(4): gap 4 admissible, gap 5 not.
@@ -116,7 +137,7 @@ func TestCacheStalenessBound(t *testing.T) {
 		t.Fatal("SSP served a beyond-bound value (gap 5, bound 4)")
 	}
 	// Disabled clock (-1): cache serves freely.
-	if !c.Get(1, dst, 1<<40, BoundDisabled) {
+	if !c.Get(1, dst, 1<<40, core.BoundDisabled) {
 		t.Fatal("disabled bound refused a cached value")
 	}
 }
@@ -126,11 +147,11 @@ func TestCacheStalenessBound(t *testing.T) {
 // entry must be dropped, or a racing reader could roll the tier back to a
 // stale value.
 func TestCacheStaleFillDoesNotRegress(t *testing.T) {
-	c := newBareCache(t, 64, 1)
+	c := newBareCache(64, 1)
 	c.Put(7, []float32{2}, 20) // write-through at clock 20
 	c.Put(7, []float32{1}, 10) // stale read fill stamped 10: dropped
 	dst := make([]float32, 1)
-	if !c.Get(7, dst, 20, BoundASP) {
+	if !c.Get(7, dst, 20, core.BoundASP) {
 		t.Fatal("entry missing")
 	}
 	if dst[0] != 2 {
@@ -138,50 +159,50 @@ func TestCacheStaleFillDoesNotRegress(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrentFill drives the Lookahead(DestAppCache) fill channel
-// from many goroutines while readers consult the cache — the concurrent
-// path the fill worker and sharded LRU must survive (run under -race).
+// TestCacheConcurrentFill drives a cached model's tier from many sessions
+// at once — batch reads filling it, Lookahead hints racing them — the
+// concurrent path the shared tier and the lookahead workers must survive
+// (run under -race). Every served value must be the key's own.
 func TestCacheConcurrentFill(t *testing.T) {
-	tbl := testTable(t, 4, 8)
-	s, err := tbl.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	m := openTable(t, 4, core.BoundASP, mlkv.WithCache(256))
+	load := newSession(t, m)
 	emb := make([]float32, 4)
 	for k := uint64(1); k <= 200; k++ {
 		for i := range emb {
 			emb[i] = float32(k)
 		}
-		if err := s.Put(k, emb); err != nil {
+		if err := load.Put(k, emb); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c := newBareCache(t, 256, 4)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sess, err := tbl.NewSession()
+			sess, err := m.NewSession()
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			defer sess.Close()
 			keys := make([]uint64, 8)
-			dst := make([]float32, 4)
+			dst := make([]float32, 8*4)
 			for i := 0; i < 100; i++ {
 				for j := range keys {
 					keys[j] = uint64((w*100+i+j)%200) + 1
 				}
-				if err := sess.Lookahead(keys, DestAppCache, c); err != nil {
+				if err := sess.Lookahead(keys); err != nil {
 					t.Error(err)
 					return
 				}
-				for _, k := range keys {
-					if c.Get(k, dst, tbl.WriteClock(), BoundASP) && dst[0] != float32(k) {
-						t.Errorf("key %d served value %v", k, dst[0])
+				if err := sess.GetBatch(keys, dst); err != nil {
+					t.Error(err)
+					return
+				}
+				for j, k := range keys {
+					if dst[j*4] != float32(k) {
+						t.Errorf("key %d served value %v", k, dst[j*4])
 						return
 					}
 				}
@@ -189,13 +210,8 @@ func TestCacheConcurrentFill(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	// The fill worker drains asynchronously; eventually something lands.
-	deadline := time.Now().Add(5 * time.Second)
-	for c.Len() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if c.Len() == 0 {
-		t.Fatal("no fills landed")
+	if st := m.Stats(); st.CacheHits == 0 {
+		t.Fatalf("no reads served from the tier (misses %d)", st.CacheMisses)
 	}
 }
 
@@ -203,19 +219,8 @@ func TestCacheConcurrentFill(t *testing.T) {
 // Puts write through, RMW and Delete invalidate, and under SSP the tier
 // stops serving once enough writes land.
 func TestTableHotTier(t *testing.T) {
-	tbl, err := OpenTable(Options{
-		Dir: t.TempDir(), Dim: 2, StalenessBound: 4, // SSP(4)
-		MemoryBytes: 1 << 20, CacheEntries: 256,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tbl.Close()
-	s, err := tbl.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	m := openTable(t, 2, 4, mlkv.WithCache(256)) // SSP(4)
+	s := newSession(t, m)
 
 	put := func(k uint64, v float32) {
 		if err := s.Put(k, []float32{v, v}); err != nil {
@@ -238,14 +243,13 @@ func TestTableHotTier(t *testing.T) {
 	if got := get(1); got != 10 {
 		t.Fatalf("got %v, want 10 (write-through)", got)
 	}
-	hitsAfterFirst := tbl.TableStats().CacheHits
-	if hitsAfterFirst == 0 {
+	if m.Stats().CacheHits == 0 {
 		t.Fatal("write-through entry not served")
 	}
 
 	// A second session writes the key through the store; the tier entry
 	// refreshes via write-through, so reads still see the newest value.
-	s2, err := tbl.NewSession()
+	s2, err := m.NewSession()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,14 +262,14 @@ func TestTableHotTier(t *testing.T) {
 	}
 
 	// RMW invalidates: the next read must come from the store.
-	missesBefore := tbl.TableStats().CacheMisses
-	if err := s.ApplyGradient(1, []float32{1, 1}, 1); err != nil {
+	missesBefore := m.Stats().CacheMisses
+	if err := s.RMW(1, []float32{1, 1}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := get(1); got != 19 {
 		t.Fatalf("got %v, want 19 after RMW", got)
 	}
-	if tbl.TableStats().CacheMisses == missesBefore {
+	if m.Stats().CacheMisses == missesBefore {
 		t.Fatal("RMW did not invalidate the tier entry")
 	}
 
@@ -276,15 +280,11 @@ func TestTableHotTier(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		put(3, float32(i))
 	}
-	hitsBefore := tbl.TableStats().CacheHits
+	missesBefore = m.Stats().CacheMisses
 	if got := get(2); got != 5 {
 		t.Fatalf("got %v, want 5", got)
 	}
-	// The read must have been a tier miss (gap 10+ > bound 4): hits may
-	// only have grown by the write-through refresh that followed, so check
-	// misses moved instead.
-	_ = hitsBefore
-	if tbl.TableStats().CacheMisses == missesBefore {
+	if m.Stats().CacheMisses == missesBefore {
 		t.Fatal("beyond-bound entry was served from the tier")
 	}
 
@@ -302,19 +302,8 @@ func TestTableHotTier(t *testing.T) {
 // 0 every read synchronizes through the store and the tier records no
 // hits at all.
 func TestTableHotTierBSPNeverServes(t *testing.T) {
-	tbl, err := OpenTable(Options{
-		Dir: t.TempDir(), Dim: 2, StalenessBound: BoundBSP,
-		MemoryBytes: 1 << 20, CacheEntries: 256,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tbl.Close()
-	s, err := tbl.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	m := openTable(t, 2, core.BoundBSP, mlkv.WithCache(256))
+	s := newSession(t, m)
 	emb := []float32{1, 1}
 	dst := make([]float32, 2)
 	for k := uint64(1); k <= 50; k++ {
@@ -328,8 +317,7 @@ func TestTableHotTierBSPNeverServes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ts := tbl.TableStats()
-	if ts.CacheHits != 0 {
-		t.Fatalf("BSP served %d reads from the tier", ts.CacheHits)
+	if st := m.Stats(); st.CacheHits != 0 {
+		t.Fatalf("BSP served %d reads from the tier", st.CacheHits)
 	}
 }

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"fmt"
@@ -7,25 +7,33 @@ import (
 	"sync"
 	"testing"
 
+	mlkv "github.com/llm-db/mlkv-go"
+	"github.com/llm-db/mlkv-go/internal/core"
+	"github.com/llm-db/mlkv-go/internal/faster"
+	"github.com/llm-db/mlkv-go/internal/kv"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
-func testShardedTable(t *testing.T, dim, shards int, bound int64) *Table {
+func openShardedTable(t *testing.T, dim, shards int, bound int64) *mlkv.Model {
 	t.Helper()
-	tbl, err := OpenTable(Options{
-		Dir:            t.TempDir(),
-		Dim:            dim,
-		Shards:         shards,
-		StalenessBound: bound,
-		MemoryBytes:    1 << 20,
-		RecordsPerPage: 64,
-		Init:           UniformInit(0.1, 42),
-	})
-	if err != nil {
-		t.Fatal(err)
+	return openTable(t, dim, bound, mlkv.WithShards(shards))
+}
+
+// fasterShards opens n hybrid-log stores of dim-4 values and the router
+// over them, keeping the stores for per-shard inspection.
+func fasterShards(t *testing.T, n int) ([]*faster.Store, kv.Store) {
+	t.Helper()
+	stores := make([]*faster.Store, n)
+	for i := range stores {
+		st, err := faster.Open(faster.Config{Dir: t.TempDir(), ValueSize: 16, StalenessBound: core.BoundDisabled})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = st
 	}
-	t.Cleanup(func() { tbl.Close() })
-	return tbl
+	router := kv.WrapFasterShards(stores, "sharded")
+	t.Cleanup(func() { router.Close() })
+	return stores, router
 }
 
 func TestShardOfUniformDistribution(t *testing.T) {
@@ -53,13 +61,36 @@ func TestShardOfUniformDistribution(t *testing.T) {
 }
 
 func TestShardOfStableAcrossLayers(t *testing.T) {
-	// The router's placement must be exactly util.ShardOf so every layer
-	// (core, kv adapter) agrees on which shard owns a key.
-	tbl := testShardedTable(t, 4, 4, BoundDisabled)
+	// The router's placement must be exactly util.ShardOf, so every layer
+	// that names a key's shard (the router, the server's stats, the
+	// cluster's node-local shards) agrees on which store owns it.
+	stores, router := fasterShards(t, 4)
+	s, err := router.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	val := make([]byte, 16)
 	for k := uint64(0); k < 1000; k++ {
-		if got, want := tbl.shardOf(k), util.ShardOf(k, 4); got != want {
-			t.Fatalf("table shardOf(%d)=%d, util.ShardOf=%d", k, got, want)
+		if err := s.Put(k, val); err != nil {
+			t.Fatal(err)
 		}
+	}
+	for i, st := range stores {
+		fs, err := st.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := uint64(0); k < 1000; k++ {
+			found, err := fs.Peek(k, val)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if owner := util.ShardOf(k, 4); found != (owner == i) {
+				t.Fatalf("key %d found=%v on shard %d, util.ShardOf=%d", k, found, i, owner)
+			}
+		}
+		fs.Close()
 	}
 }
 
@@ -75,7 +106,7 @@ func TestShardedBatchRoundTrip(t *testing.T) {
 	// would deadlock this access pattern by design: Zipf batches repeat hot
 	// keys, every worker reads before writing, and a read of a record at
 	// the bound waits for a Put no blocked worker can issue.
-	tbl := testShardedTable(t, dim, shards, BoundASP)
+	m := openShardedTable(t, dim, shards, core.BoundASP)
 
 	// Each key's value is derived from the key alone, so concurrent
 	// writers of the same Zipf-hot key are idempotent and any read can be
@@ -89,7 +120,7 @@ func TestShardedBatchRoundTrip(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s, err := tbl.NewSession()
+			s, err := m.NewSession()
 			if err != nil {
 				errCh <- err
 				return
@@ -135,12 +166,7 @@ func TestShardedBatchRoundTrip(t *testing.T) {
 
 func TestShardedSingleKeyOpsRoundTrip(t *testing.T) {
 	const dim = 4
-	tbl := testShardedTable(t, dim, 4, BoundDisabled)
-	s, err := tbl.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := newSession(t, openShardedTable(t, dim, 4, core.BoundDisabled))
 	val := []float32{1, 2, 3, 4}
 	got := make([]float32, dim)
 	for k := uint64(0); k < 500; k++ {
@@ -173,16 +199,12 @@ func TestShardedSingleKeyOpsRoundTrip(t *testing.T) {
 }
 
 func TestShardedStatsMerge(t *testing.T) {
-	const dim = 4
-	tbl := testShardedTable(t, dim, 4, BoundDisabled)
-	s, err := tbl.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 	const n = 2000
+	// Through the public API: one model-wide view, whatever the shard count.
+	m := openShardedTable(t, 4, 4, core.BoundDisabled)
+	s := newSession(t, m)
 	val := []float32{1, 2, 3, 4}
-	got := make([]float32, dim)
+	got := make([]float32, 4)
 	for k := uint64(0); k < n; k++ {
 		if err := s.Put(k, val); err != nil {
 			t.Fatal(err)
@@ -191,17 +213,33 @@ func TestShardedStatsMerge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	merged := tbl.StoreStats()
-	if merged.Puts != n {
-		t.Fatalf("merged Puts = %d, want %d", merged.Puts, n)
+	if st := m.Stats(); st.Puts != n || st.Gets != n {
+		t.Fatalf("merged Puts/Gets = %d/%d, want %d/%d", st.Puts, st.Gets, n, n)
 	}
-	if merged.Gets != n {
-		t.Fatalf("merged Gets = %d, want %d", merged.Gets, n)
+	if m.Shards() != 4 {
+		t.Fatalf("expected 4 shards, got %d", m.Shards())
 	}
-	// The merged view must equal the element-wise sum over shards, and the
-	// traffic must actually be spread: no shard may hold everything.
+
+	// Under the router: the merged view is the element-wise sum over the
+	// shards, and the traffic is actually spread.
+	stores, router := fasterShards(t, 4)
+	rs, err := router.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	buf := make([]byte, 16)
+	for k := uint64(0); k < n; k++ {
+		if err := rs.Put(k, buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rs.Get(k, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merged := router.(kv.StatsReporter).Stats()
 	var sumGets, sumPuts int64
-	for _, st := range tbl.Stores() {
+	for _, st := range stores {
 		snap := st.Stats()
 		sumGets += snap.Gets
 		sumPuts += snap.Puts
@@ -209,27 +247,17 @@ func TestShardedStatsMerge(t *testing.T) {
 			t.Fatal("all puts landed on one shard; router is not partitioning")
 		}
 	}
-	if sumGets != merged.Gets || sumPuts != merged.Puts {
+	if merged.Puts != n || sumGets != merged.Gets || sumPuts != merged.Puts {
 		t.Fatalf("per-shard sums (%d gets, %d puts) != merged (%d, %d)",
 			sumGets, sumPuts, merged.Gets, merged.Puts)
-	}
-	if len(tbl.Stores()) != 4 || tbl.Shards() != 4 {
-		t.Fatalf("expected 4 shards, got Stores=%d Shards=%d", len(tbl.Stores()), tbl.Shards())
 	}
 }
 
 func TestShardedCheckpointRecovery(t *testing.T) {
 	const dim = 4
 	dir := t.TempDir()
-	opts := Options{
-		Dir: dir, Dim: dim, Shards: 4,
-		MemoryBytes: 1 << 20, RecordsPerPage: 64,
-	}
-	tbl, err := OpenTable(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := tbl.NewSession()
+	m := openTableIn(t, dir, dim, mlkv.WithShards(4))
+	s, err := m.NewSession()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,23 +268,14 @@ func TestShardedCheckpointRecovery(t *testing.T) {
 		}
 	}
 	s.Close()
-	if err := tbl.Checkpoint(); err != nil {
+	if err := m.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Close(); err != nil {
+	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	tbl2, err := OpenTable(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tbl2.Close()
-	s2, err := tbl2.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
+	s2 := newSession(t, openTableIn(t, dir, dim, mlkv.WithShards(4)))
 	got := make([]float32, dim)
 	for k := uint64(0); k < 300; k++ {
 		found, err := s2.Peek(k, got)
@@ -273,48 +292,49 @@ func TestShardedCheckpointRecovery(t *testing.T) {
 
 func TestShardCountMismatchRefused(t *testing.T) {
 	dir := t.TempDir()
-	tbl, err := OpenTable(Options{Dir: dir, Dim: 4, Shards: 4, MemoryBytes: 1 << 20, RecordsPerPage: 64})
+	open := func(shards int) (*mlkv.Model, error) {
+		return mlkv.Open("t", 4, mlkv.WithDir(dir), mlkv.WithShards(shards), mlkv.WithMemory(1<<20))
+	}
+	m, err := open(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl.Close()
-	if _, err := OpenTable(Options{Dir: dir, Dim: 4, Shards: 2, MemoryBytes: 1 << 20, RecordsPerPage: 64}); err == nil {
-		t.Fatal("reopening a 4-shard table with 2 shards must fail")
+	m.Close()
+	if m, err := open(2); err == nil {
+		m.Close()
+		t.Fatal("reopening a 4-shard model with 2 shards must fail")
 	}
 	// The recorded count still opens.
-	tbl2, err := OpenTable(Options{Dir: dir, Dim: 4, Shards: 4, MemoryBytes: 1 << 20, RecordsPerPage: 64})
+	m, err = open(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl2.Close()
+	m.Close()
 }
 
 func TestShardingRefusedOnUnshardedData(t *testing.T) {
-	// A pre-sharding table directory (hlog.dat at the root, no SHARDS
+	// A pre-sharding model directory (hlog.dat at the root, no SHARDS
 	// metadata) must not silently reshard.
 	dir := t.TempDir()
-	tbl, err := OpenTable(Options{Dir: dir, Dim: 4, MemoryBytes: 1 << 20, RecordsPerPage: 64})
+	m, err := mlkv.Open("t", 4, mlkv.WithDir(dir), mlkv.WithMemory(1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl.Close()
+	m.Close()
 	// Simulate a pre-sharding directory by dropping the metadata file.
-	if err := os.Remove(filepath.Join(dir, util.ShardsMetaFile)); err != nil {
+	if err := os.Remove(filepath.Join(dir, "t", util.ShardsMetaFile)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenTable(Options{Dir: dir, Dim: 4, Shards: 4, MemoryBytes: 1 << 20, RecordsPerPage: 64}); err == nil {
+	if m, err := mlkv.Open("t", 4, mlkv.WithDir(dir), mlkv.WithShards(4), mlkv.WithMemory(1<<20)); err == nil {
+		m.Close()
 		t.Fatal("sharding a directory holding unsharded data must fail")
 	}
 }
 
 func TestShardedLookaheadRoutes(t *testing.T) {
 	const dim = 4
-	tbl := testShardedTable(t, dim, 4, 4)
-	s, err := tbl.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	m := openShardedTable(t, dim, 4, 4)
+	s := newSession(t, m)
 	val := []float32{1, 1, 1, 1}
 	keys := make([]uint64, 0, 4096)
 	for k := uint64(0); k < 4096; k++ {
@@ -325,7 +345,10 @@ func TestShardedLookaheadRoutes(t *testing.T) {
 	}
 	// Lookahead across all shards must neither panic nor error; copies
 	// only happen for disk-resident records, so just exercise the path.
-	if err := s.Lookahead(keys, DestStorageBuffer, nil); err != nil {
+	if err := s.Lookahead(keys); err != nil {
 		t.Fatal(err)
+	}
+	if st := m.Stats(); st.LookaheadCalls != 1 {
+		t.Fatalf("LookaheadCalls = %d, want 1", st.LookaheadCalls)
 	}
 }

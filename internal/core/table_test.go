@@ -1,4 +1,8 @@
-package core
+// The tests in this package pin the embedding-table contract — first-touch
+// initialization, bounded staleness, sharding, look-ahead, the hot tier —
+// on the stack that provides it: a local model opened through the public
+// API, which runs the same kv shard router the server does.
+package core_test
 
 import (
 	"math"
@@ -6,33 +10,43 @@ import (
 	"testing"
 	"time"
 
+	mlkv "github.com/llm-db/mlkv-go"
+	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
-func testTable(t *testing.T, dim int, bound int64) *Table {
+// openTable opens a fresh local model with a 1 MiB buffer and a
+// deterministic initializer; opts override the defaults.
+func openTable(t *testing.T, dim int, bound int64, opts ...mlkv.Option) *mlkv.Model {
 	t.Helper()
-	tbl, err := OpenTable(Options{
-		Dir:            t.TempDir(),
-		Dim:            dim,
-		StalenessBound: bound,
-		MemoryBytes:    1 << 20,
-		RecordsPerPage: 64,
-		Init:           UniformInit(0.1, 42),
-	})
+	return openTableIn(t, t.TempDir(), dim, append([]mlkv.Option{mlkv.WithStalenessBound(bound)}, opts...)...)
+}
+
+// openTableIn opens model "t" under dir (reopening what a previous call
+// left there).
+func openTableIn(t *testing.T, dir string, dim int, opts ...mlkv.Option) *mlkv.Model {
+	t.Helper()
+	base := []mlkv.Option{mlkv.WithDir(dir), mlkv.WithMemory(1 << 20), mlkv.WithInitializer(core.UniformInit(0.1, 42))}
+	m, err := mlkv.Open("t", dim, append(base, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { tbl.Close() })
-	return tbl
+	t.Cleanup(func() { m.Close() })
+	return m
+}
+
+func newSession(t *testing.T, m *mlkv.Model) *mlkv.Session {
+	t.Helper()
+	s, err := m.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s
 }
 
 func TestTableGetInitializesFirstTouch(t *testing.T) {
-	tbl := testTable(t, 8, BoundDisabled)
-	s, err := tbl.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := newSession(t, openTable(t, 8, core.BoundDisabled))
 	emb := make([]float32, 8)
 	if err := s.Get(1, emb); err != nil {
 		t.Fatal(err)
@@ -49,22 +63,22 @@ func TestTableGetInitializesFirstTouch(t *testing.T) {
 	if !nonzero {
 		t.Fatal("initializer produced all zeros")
 	}
-	// Same key, same init — deterministic.
+	// Same key, same init — deterministic, and what the initializer says.
 	emb2 := make([]float32, 8)
 	if err := s.Get(1, emb2); err != nil {
 		t.Fatal(err)
 	}
+	want := make([]float32, 8)
+	core.UniformInit(0.1, 42)(1, want)
 	for i := range emb {
-		if emb[i] != emb2[i] {
+		if emb[i] != emb2[i] || emb[i] != want[i] {
 			t.Fatal("initialized embedding unstable")
 		}
 	}
 }
 
 func TestTablePutGetRoundTrip(t *testing.T) {
-	tbl := testTable(t, 4, BoundDisabled)
-	s, _ := tbl.NewSession()
-	defer s.Close()
+	s := newSession(t, openTable(t, 4, core.BoundDisabled))
 	want := []float32{1.5, -2.25, 3.125, -0.0625}
 	if err := s.Put(7, want); err != nil {
 		t.Fatal(err)
@@ -81,9 +95,7 @@ func TestTablePutGetRoundTrip(t *testing.T) {
 }
 
 func TestTableBatchOps(t *testing.T) {
-	tbl := testTable(t, 4, BoundDisabled)
-	s, _ := tbl.NewSession()
-	defer s.Close()
+	s := newSession(t, openTable(t, 4, core.BoundDisabled))
 	keys := []uint64{1, 2, 3}
 	vals := make([]float32, 12)
 	for i := range vals {
@@ -104,9 +116,7 @@ func TestTableBatchOps(t *testing.T) {
 }
 
 func TestTableDimValidation(t *testing.T) {
-	tbl := testTable(t, 4, BoundDisabled)
-	s, _ := tbl.NewSession()
-	defer s.Close()
+	s := newSession(t, openTable(t, 4, core.BoundDisabled))
 	if err := s.Get(1, make([]float32, 3)); err == nil {
 		t.Fatal("wrong dim accepted in Get")
 	}
@@ -116,22 +126,42 @@ func TestTableDimValidation(t *testing.T) {
 	if err := s.GetBatch([]uint64{1, 2}, make([]float32, 7)); err == nil {
 		t.Fatal("wrong batch size accepted")
 	}
+	if err := s.RMW(1, make([]float32, 3), 1); err == nil {
+		t.Fatal("wrong dim accepted in RMW")
+	}
 }
 
 func TestApplyGradient(t *testing.T) {
-	tbl := testTable(t, 4, BoundDisabled)
-	s, _ := tbl.NewSession()
-	defer s.Close()
-	s.Put(1, []float32{1, 1, 1, 1})
-	if err := s.ApplyGradient(1, []float32{1, 2, 3, 4}, 0.5); err != nil {
+	s := newSession(t, openTable(t, 4, core.BoundDisabled))
+	if err := s.Put(1, []float32{1, 1, 1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RMW(1, []float32{1, 2, 3, 4}, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]float32, 4)
-	s.Get(1, got)
+	if err := s.Get(1, got); err != nil {
+		t.Fatal(err)
+	}
 	want := []float32{0.5, 0, -0.5, -1}
 	for i := range want {
 		if math.Abs(float64(got[i]-want[i])) > 1e-6 {
 			t.Fatalf("dim %d: got %v want %v", i, got[i], want[i])
+		}
+	}
+	// An absent key steps from its first-touch embedding, as on a remote
+	// model.
+	if err := s.RMW(2, []float32{1, 1, 1, 1}, 1); err != nil {
+		t.Fatal(err)
+	}
+	init := make([]float32, 4)
+	core.UniformInit(0.1, 42)(2, init)
+	if _, err := s.Peek(2, got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range init {
+		if got[i] != init[i]-1 {
+			t.Fatalf("first-touch RMW dim %d: got %v want %v", i, got[i], init[i]-1)
 		}
 	}
 }
@@ -139,21 +169,8 @@ func TestApplyGradient(t *testing.T) {
 func TestLookaheadStorageBufferWarmsDiskRecords(t *testing.T) {
 	// A 64 KiB buffer holds ~1100 records of dim 8; writing 6000 evicts the
 	// early keys to disk.
-	tbl, err := OpenTable(Options{
-		Dir:            t.TempDir(),
-		Dim:            8,
-		StalenessBound: 4,
-		MemoryBytes:    64 << 10,
-		RecordsPerPage: 64,
-		Init:           UniformInit(0.1, 42),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tbl.Close()
-	s, _ := tbl.NewSession()
-	defer s.Close()
-	// Write enough embeddings to evict the early keys to disk.
+	m := openTable(t, 8, 4, mlkv.WithMemory(64<<10))
+	s := newSession(t, m)
 	emb := make([]float32, 8)
 	const n = 6000
 	for k := uint64(1); k <= n; k++ {
@@ -164,25 +181,20 @@ func TestLookaheadStorageBufferWarmsDiskRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Prefetch early (cold) keys and wait for copies to land.
+	// Prefetch early (cold) keys and wait for the copies to land.
 	cold := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
-	if err := s.Lookahead(cold, DestStorageBuffer, nil); err != nil {
+	if err := s.Lookahead(cold); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		copied, _ := tbl.PrefetchStats()
-		if copied >= int64(len(cold)) || time.Now().After(deadline) {
-			break
-		}
+	for m.Stats().PrefetchCopies < int64(len(cold)) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	copied, dropped := tbl.PrefetchStats()
-	if copied < int64(len(cold)) {
-		t.Fatalf("prefetch copied %d of %d (dropped %d)", copied, len(cold), dropped)
+	if st := m.Stats(); st.PrefetchCopies < int64(len(cold)) {
+		t.Fatalf("prefetch copied %d of %d (dropped %d)", st.PrefetchCopies, len(cold), st.PrefetchDropped)
 	}
 	// The subsequent Gets should be disk-free.
-	before := tbl.Store().Stats().DiskReads
+	before := m.Stats().DiskReads
 	for _, k := range cold {
 		if err := s.Get(k, emb); err != nil {
 			t.Fatal(err)
@@ -194,80 +206,21 @@ func TestLookaheadStorageBufferWarmsDiskRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	after := tbl.Store().Stats().DiskReads
-	if after != before {
+	if after := m.Stats().DiskReads; after != before {
 		t.Fatalf("gets after lookahead hit disk %d times", after-before)
-	}
-}
-
-func TestLookaheadAppCache(t *testing.T) {
-	tbl := testTable(t, 8, 4)
-	s, _ := tbl.NewSession()
-	defer s.Close()
-	emb := make([]float32, 8)
-	for k := uint64(1); k <= 100; k++ {
-		for i := range emb {
-			emb[i] = float32(k)
-		}
-		s.Put(k, emb)
-	}
-	cache := NewCache(64, 8)
-	defer cache.Close()
-	if err := s.Lookahead([]uint64{5, 6, 7}, DestAppCache, cache); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for cache.Len() < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	got := make([]float32, 8)
-	if !cache.Get(5, got, tbl.WriteClock(), BoundASP) {
-		t.Fatal("key 5 not in app cache after Lookahead")
-	}
-	if got[0] != 5 {
-		t.Fatalf("cached value wrong: %v", got[0])
-	}
-	if err := s.Lookahead([]uint64{1}, DestAppCache, nil); err == nil {
-		t.Fatal("nil cache accepted for DestAppCache")
-	}
-}
-
-func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(16, 2) // 16 slots over 16 shards => 1 per shard
-	defer c.Close()
-	for k := uint64(0); k < 64; k++ {
-		c.Put(k, []float32{float32(k), 0}, 0)
-	}
-	if c.Len() > 16 {
-		t.Fatalf("cache exceeded capacity: %d", c.Len())
-	}
-	// Most recent key per shard must be resident.
-	got := make([]float32, 2)
-	if !c.Get(63, got, 0, BoundASP) {
-		t.Fatal("most recent key evicted")
-	}
-}
-
-func TestCacheInvalidate(t *testing.T) {
-	c := NewCache(32, 2)
-	defer c.Close()
-	c.Put(1, []float32{1, 2}, 0)
-	c.Invalidate(1)
-	if c.Get(1, make([]float32, 2), 0, BoundASP) {
-		t.Fatal("invalidated key still cached")
 	}
 }
 
 func TestTableConcurrentTraining(t *testing.T) {
 	// Simulated async training: workers Get, compute, Put, with a bound.
-	tbl := testTable(t, 8, 8)
+	m := openTable(t, 8, 8)
 	const workers = 4
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
-			s, err := tbl.NewSession()
+			s, err := m.NewSession()
 			if err != nil {
 				t.Error(err)
 				return
@@ -296,29 +249,23 @@ func TestTableConcurrentTraining(t *testing.T) {
 
 func TestTableCheckpointRestore(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{
-		Dir: dir, Dim: 4, StalenessBound: BoundDisabled,
-		MemoryBytes: 1 << 20, RecordsPerPage: 64,
-	}
-	tbl, err := OpenTable(opts)
+	m := openTableIn(t, dir, 4, mlkv.WithStalenessBound(core.BoundDisabled))
+	s, err := m.NewSession()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _ := tbl.NewSession()
-	s.Put(1, []float32{1, 2, 3, 4})
+	if err := s.Put(1, []float32{1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
 	s.Close()
-	if err := tbl.Checkpoint(); err != nil {
+	if err := m.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	tbl.Close()
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	tbl2, err := OpenTable(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tbl2.Close()
-	s2, _ := tbl2.NewSession()
-	defer s2.Close()
+	s2 := newSession(t, openTableIn(t, dir, 4, mlkv.WithStalenessBound(core.BoundDisabled)))
 	got := make([]float32, 4)
 	if err := s2.Get(1, got); err != nil {
 		t.Fatal(err)
@@ -329,18 +276,32 @@ func TestTableCheckpointRestore(t *testing.T) {
 }
 
 func TestOpenTableValidation(t *testing.T) {
-	if _, err := OpenTable(Options{Dir: t.TempDir()}); err == nil {
+	dir := t.TempDir()
+	if _, err := mlkv.Open("t", 0, mlkv.WithDir(dir)); err == nil {
 		t.Fatal("Dim 0 accepted")
 	}
-	if _, err := OpenTable(Options{Dim: 4}); err == nil {
-		t.Fatal("missing Dir accepted")
+	if _, err := mlkv.Open("", 4, mlkv.WithDir(dir)); err == nil {
+		t.Fatal("empty model id accepted")
+	}
+	if _, err := mlkv.Open("t", 4, mlkv.WithDir(dir), mlkv.WithShards(-1)); err == nil {
+		t.Fatal("negative shard count accepted")
 	}
 }
 
 func TestBoundModesSmoke(t *testing.T) {
-	for _, bound := range []int64{BoundDisabled, BoundBSP, 4, BoundASP} {
-		tbl := testTable(t, 4, bound)
-		s, _ := tbl.NewSession()
+	for _, bound := range []int64{core.BoundDisabled, core.BoundBSP, 4, core.BoundASP} {
+		m := openTable(t, 4, bound)
+		if got := m.StalenessBound(); got != bound {
+			t.Fatalf("bound %d: model reports %d", bound, got)
+		}
+		// The hybrid log names itself by whether its vector clock runs.
+		if want := map[bool]string{true: "mlkv", false: "faster"}[bound >= 0]; m.EngineName() != want {
+			t.Fatalf("bound %d: engine %q, want %q", bound, m.EngineName(), want)
+		}
+		s, err := m.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
 		emb := make([]float32, 4)
 		for k := uint64(1); k <= 50; k++ {
 			if err := s.Get(k, emb); err != nil {
@@ -357,30 +318,30 @@ func TestBoundModesSmoke(t *testing.T) {
 // TestActiveSessions covers the serving layer's lifecycle hook: the count
 // tracks opens and closes, and double-close does not double-count.
 func TestActiveSessions(t *testing.T) {
-	tbl := testTable(t, 4, BoundDisabled)
-	if n := tbl.ActiveSessions(); n != 0 {
-		t.Fatalf("fresh table has %d sessions", n)
+	m := openTable(t, 4, core.BoundDisabled)
+	if n := m.ActiveSessions(); n != 0 {
+		t.Fatalf("fresh model has %d sessions", n)
 	}
-	var sessions []*Session
+	var sessions []*mlkv.Session
 	for i := 0; i < 3; i++ {
-		s, err := tbl.NewSession()
+		s, err := m.NewSession()
 		if err != nil {
 			t.Fatal(err)
 		}
 		sessions = append(sessions, s)
-		if n := tbl.ActiveSessions(); n != int64(i+1) {
+		if n := m.ActiveSessions(); n != int64(i+1) {
 			t.Fatalf("after %d opens: count %d", i+1, n)
 		}
 	}
 	sessions[0].Close()
 	sessions[0].Close() // idempotent
-	if n := tbl.ActiveSessions(); n != 2 {
+	if n := m.ActiveSessions(); n != 2 {
 		t.Fatalf("after double-close: count %d", n)
 	}
 	for _, s := range sessions[1:] {
 		s.Close()
 	}
-	if n := tbl.ActiveSessions(); n != 0 {
+	if n := m.ActiveSessions(); n != 0 {
 		t.Fatalf("after all closes: count %d", n)
 	}
 }

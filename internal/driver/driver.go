@@ -1,7 +1,7 @@
 // Package driver is the seam between mlkv's public API and the places an
-// embedding model can live: a local disk directory (the in-process
-// core.Table engine) or a remote mlkv-server (the internal/client pool
-// speaking the wire protocol). The public mlkv package programs against
+// embedding model can live: a local disk directory (an in-process kv
+// store, the same stack mlkv-server serves from) or a remote mlkv-server
+// (the internal/client pool speaking the wire protocol). The public mlkv package programs against
 // the DB/Model/Session interfaces here, so application code is identical
 // against either target — the paper's Open(model_id, dim, staleness_bound)
 // served locally or as a shared storage service.
@@ -76,10 +76,12 @@ type Config struct {
 	// Bound is the staleness bound; applied only when BoundSet.
 	Bound    int64
 	BoundSet bool
-	// MemoryBytes / ExpectedKeys / PrefetchWorkers size the local engine;
-	// a remote server owns its own sizing and ignores them.
-	MemoryBytes     int64
-	ExpectedKeys    uint64
+	// MemoryBytes / ExpectedKeys size the local engine; a remote server
+	// owns its own sizing and ignores them.
+	MemoryBytes  int64
+	ExpectedKeys uint64
+	// PrefetchWorkers sizes the model's Lookahead worker pool on either
+	// target (at least one worker).
 	PrefetchWorkers int
 	// CacheEntries attaches a staleness-aware hot tier of this capacity in
 	// front of the model's read path: above the local engine, or
@@ -131,7 +133,7 @@ type Stats struct {
 	// re-dialing a host already known dead.
 	DialRetries, DialBackoffs int64
 	// Per-op-class latency summaries (nanoseconds). A local model reports
-	// the core table's op timings; a remote model reports the connection
+	// its session op timings; a remote model reports the connection
 	// pool's round-trip timings — end to end, including queueing in the
 	// pipelined demux — which is the tail a caller actually experiences.
 	LatGet, LatGetBatch, LatPut, LatPutBatch, LatRMW latency.Snapshot
@@ -175,7 +177,8 @@ type Session interface {
 	Peek(ctx context.Context, key uint64, dst []float32) (bool, error)
 	Delete(ctx context.Context, key uint64) error
 	// Lookahead is asynchronous on both drivers and never blocks; hints
-	// beyond the queue capacity are dropped (and counted).
+	// beyond the queue capacity are dropped (and their keys counted in
+	// Stats.PrefetchDropped).
 	Lookahead(keys []uint64) error
 	Close()
 }

@@ -7,15 +7,14 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/kv"
 )
 
-// localDB serves models out of one data directory, each model a backend
-// under <dir>/<id>: the clocked hybrid log (core.Table) by default, or a
-// lifted clock-free engine when Config.Engine asks for one. Opening the
-// same id twice returns the same model (refcounted), mirroring the server
-// registry's by-name deduplication.
+// localDB serves models out of one data directory, each model a kv store
+// under <dir>/<id>: the clocked hybrid log by default, or a clock-free
+// engine when Config.Engine asks for one. Opening the same id twice
+// returns the same model (refcounted), mirroring the server registry's
+// by-name deduplication.
 type localDB struct {
 	dir string
 
@@ -25,22 +24,6 @@ type localDB struct {
 }
 
 func (db *localDB) Target() string { return db.dir }
-
-// localBackend is the engine side of a local model: what differs between
-// the hybrid log and the lifted clock-free engines once the refcounting
-// and handle bookkeeping above it are shared.
-type localBackend interface {
-	Dim() int
-	Shards() int
-	EngineName() string
-	StalenessBound() int64
-	SetStalenessBound(b int64) error
-	Checkpoint() error
-	Stats() Stats
-	ActiveSessions() int64
-	NewSession() (Session, error)
-	Close() error
-}
 
 func (db *localDB) Open(ctx context.Context, id string, cfg Config) (Model, error) {
 	if err := ctx.Err(); err != nil {
@@ -62,8 +45,8 @@ func (db *localDB) Open(ctx context.Context, id string, cfg Config) (Model, erro
 		if m.be.Dim() != cfg.Dim {
 			return nil, fmt.Errorf("driver: model %q has dim %d, requested %d", id, m.be.Dim(), cfg.Dim)
 		}
-		if engine != "" && engine != m.engine {
-			return nil, fmt.Errorf("driver: model %q runs engine %q, requested %q", id, m.engine, engine)
+		if engine != "" && engine != m.be.engine {
+			return nil, fmt.Errorf("driver: model %q runs engine %q, requested %q", id, m.be.engine, engine)
 		}
 		if cfg.BoundSet {
 			if err := m.be.SetStalenessBound(cfg.Bound); err != nil {
@@ -76,19 +59,11 @@ func (db *localDB) Open(ctx context.Context, id string, cfg Config) (Model, erro
 	if engine == "" {
 		engine = kv.EngineFaster
 	}
-	var (
-		be  localBackend
-		err error
-	)
-	if engine == kv.EngineFaster {
-		be, err = openCoreBackend(filepath.Join(db.dir, id), cfg)
-	} else {
-		be, err = openKVBackend(filepath.Join(db.dir, id), engine, cfg)
-	}
+	be, err := openKVBackend(filepath.Join(db.dir, id), engine, cfg)
 	if err != nil {
 		return nil, err
 	}
-	m := &localModel{db: db, id: id, engine: engine, be: be, refs: 1}
+	m := &localModel{db: db, id: id, be: be, refs: 1}
 	db.models[id] = m
 	return &localHandle{localModel: m}, nil
 }
@@ -121,11 +96,10 @@ func (db *localDB) Close() error {
 // returns its own localHandle so a double Close of one handle releases
 // its reference once, never a sibling's.
 type localModel struct {
-	db     *localDB
-	id     string
-	engine string // canonical: faster, lsm, or bptree
-	be     localBackend
-	refs   int // guarded by db.mu
+	db   *localDB
+	id   string
+	be   *kvBackend
+	refs int // guarded by db.mu
 }
 
 // localHandle is one Open's view of a shared localModel.
@@ -193,150 +167,3 @@ func (m *localModel) release() error {
 	}
 	return m.be.Close()
 }
-
-// --- hybrid-log backend (core.Table) ---
-
-// coreBackend is the default engine behind a local model: the clocked
-// hybrid log, the only backend with a staleness clock.
-type coreBackend struct {
-	t *core.Table
-}
-
-func openCoreBackend(dir string, cfg Config) (*coreBackend, error) {
-	// A directory a clock-free engine populated must not be reopened as
-	// the hybrid log on top of foreign files (and vice versa).
-	if err := kv.CheckEngineDir(dir, kv.EngineFaster); err != nil {
-		return nil, err
-	}
-	bound := cfg.Bound
-	if !cfg.BoundSet {
-		// The public API's historical local default: SSP(4). It lives here
-		// rather than in the public layer so that an engine-less reopen of
-		// an existing clock-free model never carries an implied blocking
-		// bound the model would have to refuse.
-		bound = 4
-	}
-	t, err := core.OpenTable(core.Options{
-		Dir:             dir,
-		Dim:             cfg.Dim,
-		Shards:          cfg.Shards,
-		StalenessBound:  bound,
-		MemoryBytes:     cfg.MemoryBytes,
-		ExpectedKeys:    cfg.ExpectedKeys,
-		PrefetchWorkers: cfg.PrefetchWorkers,
-		CacheEntries:    cfg.CacheEntries,
-		FlushPace:       cfg.FlushPace,
-		Init:            cfg.Init,
-		// Always on through the public API: both drivers report the same
-		// latency fields in Stats, so local-vs-remote comparisons hold.
-		TrackLatency: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &coreBackend{t: t}, nil
-}
-
-func (b *coreBackend) Dim() int    { return b.t.Dim() }
-func (b *coreBackend) Shards() int { return b.t.Shards() }
-
-func (b *coreBackend) EngineName() string {
-	if b.t.Store().StalenessBound() >= 0 {
-		return "mlkv"
-	}
-	return "faster"
-}
-
-func (b *coreBackend) StalenessBound() int64 { return b.t.Store().StalenessBound() }
-
-func (b *coreBackend) SetStalenessBound(bound int64) error {
-	b.t.SetStalenessBound(bound)
-	return nil
-}
-
-func (b *coreBackend) Checkpoint() error { return b.t.Checkpoint() }
-
-func (b *coreBackend) Stats() Stats {
-	ts := b.t.TableStats()
-	return Stats{
-		Gets: ts.Gets, Puts: ts.Puts, RMWs: ts.RMWs, Deletes: ts.Deletes,
-		MemHits: ts.MemHits, DiskReads: ts.DiskReads,
-		InPlaceUpdates: ts.InPlaceUpdates, RCUAppends: ts.RCUAppends,
-		StalenessWaits: ts.StalenessWaits,
-		PrefetchCopies: ts.PrefetchCopies, PrefetchDropped: ts.PrefetchDropped,
-		FlushedPages: ts.FlushedPages, BytesFlushed: ts.BytesFlushed,
-		GroupCommits: ts.GroupCommits, FlushPaceStalls: ts.FlushPaceStalls,
-		BatchGets: ts.BatchGets, BatchPuts: ts.BatchPuts,
-		LookaheadCalls: ts.LookaheadCalls,
-		CacheHits:      ts.CacheHits, CacheMisses: ts.CacheMisses,
-		CacheEvictions: ts.CacheEvictions,
-		LatGet:         ts.LatGet, LatGetBatch: ts.LatGetBatch,
-		LatPut: ts.LatPut, LatPutBatch: ts.LatPutBatch, LatRMW: ts.LatRMW,
-	}
-}
-
-func (b *coreBackend) ActiveSessions() int64 { return b.t.ActiveSessions() }
-
-func (b *coreBackend) NewSession() (Session, error) {
-	s, err := b.t.NewSession()
-	if err != nil {
-		return nil, err
-	}
-	return &localSession{s: s}, nil
-}
-
-func (b *coreBackend) Close() error { return b.t.Close() }
-
-// localSession adapts core.Session to the driver seam.
-type localSession struct {
-	s *core.Session
-}
-
-func (s *localSession) Get(ctx context.Context, key uint64, dst []float32) error {
-	return s.s.GetCtx(ctx, key, dst)
-}
-
-func (s *localSession) GetBatch(ctx context.Context, keys []uint64, dst []float32) error {
-	return s.s.GetBatchCtx(ctx, keys, dst)
-}
-
-func (s *localSession) Put(ctx context.Context, key uint64, val []float32) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return s.s.Put(key, val)
-}
-
-func (s *localSession) PutBatch(ctx context.Context, keys []uint64, vals []float32) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return s.s.PutBatch(keys, vals)
-}
-
-func (s *localSession) RMW(ctx context.Context, key uint64, grad []float32, lr float32) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return s.s.ApplyGradient(key, grad, lr)
-}
-
-func (s *localSession) Peek(ctx context.Context, key uint64, dst []float32) (bool, error) {
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	return s.s.Peek(key, dst)
-}
-
-func (s *localSession) Delete(ctx context.Context, key uint64) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return s.s.Delete(key)
-}
-
-func (s *localSession) Lookahead(keys []uint64) error {
-	return s.s.Lookahead(keys, core.DestStorageBuffer, nil)
-}
-
-func (s *localSession) Close() { s.s.Close() }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -83,11 +82,11 @@ func (b singleBackend) OpenWireModel(ctx context.Context, spec client.OpenSpec) 
 	}
 	return singleModel{m}, nil
 }
-func (b singleBackend) Latency() *latency.OpSet                 { return b.c.Latency() }
-func (b singleBackend) HedgeStats() client.HedgeStats           { return b.c.HedgeStats() }
+func (b singleBackend) Latency() *latency.OpSet                   { return b.c.Latency() }
+func (b singleBackend) HedgeStats() client.HedgeStats             { return b.c.HedgeStats() }
 func (b singleBackend) ClusterInfo() (int64, int64, int64, int64) { return 0, 0, 0, 0 }
 func (b singleBackend) DialStats() (int64, int64)                 { return b.c.DialStats() }
-func (b singleBackend) Close() error                            { return b.c.Close() }
+func (b singleBackend) Close() error                              { return b.c.Close() }
 
 // clusterBackend is the cluster router behind the same seam.
 type clusterBackend struct{ r *cluster.Router }
@@ -197,14 +196,14 @@ func (db *remoteDB) Open(ctx context.Context, id string, cfg Config) (Model, err
 	if err != nil {
 		return nil, err
 	}
-	m := &remoteModel{
-		db:       db,
-		m:        cm,
-		init:     cfg.Init,
-		lookCh:   make(chan []uint64, 1024),
-		lookStop: make(chan struct{}),
-		lookDone: make(chan struct{}),
-	}
+	m := &remoteModel{db: db, m: cm, init: cfg.Init}
+	m.look = newLookahead(cfg.PrefetchWorkers, lookaheadQueue, func() (func([]uint64), func(), error) {
+		s, err := cm.NewWireSession(context.Background())
+		if err != nil {
+			return nil, nil, err
+		}
+		return func(keys []uint64) { s.LookaheadCtx(context.Background(), keys) }, s.Close, nil //nolint:errcheck // best-effort hint
+	})
 	m.bound.Store(cm.StalenessBound())
 	if cfg.CacheEntries > 0 {
 		m.cache = hotcache.New[float32](cfg.CacheEntries, cfg.Dim)
@@ -216,11 +215,9 @@ func (db *remoteDB) Open(ctx context.Context, id string, cfg Config) (Model, err
 // this DB fail afterwards (and their Lookahead hints drop).
 func (db *remoteDB) Close() error { return db.c.Close() }
 
-// remoteModel is one named model on the server. Lookahead hints are
-// fire-and-forget on a local table but a blocking round trip on the wire,
-// so the model hands them to a background worker with its own session
-// (started on the first hint); a full queue drops the hint, matching
-// core.Table's prefetch-pool semantics.
+// remoteModel is one named model on the server. Lookahead hints go to the
+// shared lookahead workers, each shipping LOOKAHEAD frames on its own
+// session, so a hint never waits on a round trip.
 type remoteModel struct {
 	db   *remoteDB
 	m    wireModel
@@ -240,15 +237,7 @@ type remoteModel struct {
 	clock atomic.Int64
 	bound atomic.Int64
 
-	// lookMu orders worker start against Close, so a hint racing a Close
-	// can never start a worker Close no longer sees.
-	lookMu      sync.Mutex
-	lookStarted bool
-	lookClosed  bool
-	lookCh      chan []uint64
-	lookStop    chan struct{}
-	lookDone    chan struct{}
-	lookDropped atomic.Int64
+	look *lookahead
 }
 
 func (m *remoteModel) ID() string            { return m.m.ID() }
@@ -304,7 +293,7 @@ func (m *remoteModel) Stats(ctx context.Context) (Stats, error) {
 		MemHits: ms.MemHits, DiskReads: ms.DiskReads,
 		InPlaceUpdates: ms.InPlaceUpdates, RCUAppends: ms.RCUAppends,
 		StalenessWaits: ms.StalenessWaits,
-		PrefetchCopies: ms.PrefetchCopies, PrefetchDropped: m.lookDropped.Load(),
+		PrefetchCopies: ms.PrefetchCopies, PrefetchDropped: m.look.dropped.Load(),
 		FlushedPages: ms.FlushedPages, BytesFlushed: ms.BytesFlushed,
 		GroupCommits: ms.GroupCommits, FlushPaceStalls: ms.FlushPaceStalls,
 		BatchGets: ms.BatchGets, BatchPuts: ms.BatchPuts,
@@ -313,11 +302,11 @@ func (m *remoteModel) Stats(ctx context.Context) (Stats, error) {
 		CacheEvictions: cache.Evictions,
 		HedgedReads:    hs.Issued, HedgeWins: hs.Won,
 		HedgeWasted: hs.Wasted, HedgeSuppressed: hs.Suppressed,
-		LatGet:         lat[latency.OpGet].Snapshot(),
-		LatGetBatch:    lat[latency.OpGetBatch].Snapshot(),
-		LatPut:         lat[latency.OpPut].Snapshot(),
-		LatPutBatch:    lat[latency.OpPutBatch].Snapshot(),
-		LatRMW:         lat[latency.OpRMW].Snapshot(),
+		LatGet:      lat[latency.OpGet].Snapshot(),
+		LatGetBatch: lat[latency.OpGetBatch].Snapshot(),
+		LatPut:      lat[latency.OpPut].Snapshot(),
+		LatPutBatch: lat[latency.OpPutBatch].Snapshot(),
+		LatRMW:      lat[latency.OpRMW].Snapshot(),
 	}, nil
 }
 
@@ -340,66 +329,11 @@ func (m *remoteModel) NewSession(ctx context.Context) (Session, error) {
 	return &remoteSession{m: m, s: s, buf: make([]byte, vs)}, nil
 }
 
-// Close stops the lookahead worker. The server keeps the model open (the
+// Close stops the lookahead workers. The server keeps the model open (the
 // registry owns its lifecycle); the pool closes with the DB. Idempotent.
 func (m *remoteModel) Close() error {
-	m.lookMu.Lock()
-	if m.lookClosed {
-		m.lookMu.Unlock()
-		return nil
-	}
-	m.lookClosed = true
-	started := m.lookStarted
-	m.lookMu.Unlock()
-	if started {
-		close(m.lookStop)
-		<-m.lookDone
-	}
+	m.look.close()
 	return nil
-}
-
-// lookaheadWorker drains the hint queue into LOOKAHEAD frames on its own
-// session. Hints are best-effort: a transient server error drops this
-// hint, not the pipeline.
-func (m *remoteModel) lookaheadWorker() {
-	defer close(m.lookDone)
-	s, err := m.m.NewWireSession(context.Background())
-	if err != nil {
-		return
-	}
-	defer s.Close()
-	for {
-		select {
-		case <-m.lookStop:
-			return
-		case keys := <-m.lookCh:
-			if _, err := s.LookaheadCtx(context.Background(), keys); err != nil {
-				continue
-			}
-		}
-	}
-}
-
-// enqueueLookahead hands keys to the worker, starting it on first use;
-// hints beyond the queue capacity drop (and are counted). A hint racing
-// Close is dropped — start and close are ordered under lookMu.
-func (m *remoteModel) enqueueLookahead(keys []uint64) {
-	m.lookMu.Lock()
-	if m.lookClosed {
-		m.lookMu.Unlock()
-		return
-	}
-	if !m.lookStarted {
-		m.lookStarted = true
-		go m.lookaheadWorker()
-	}
-	m.lookMu.Unlock()
-	cp := append([]uint64(nil), keys...) // caller reuses its slice
-	select {
-	case m.lookCh <- cp:
-	default:
-		m.lookDropped.Add(1)
-	}
 }
 
 // remoteSession adapts a wire session to the float32 seam, adding
@@ -640,9 +574,7 @@ func (s *remoteSession) Delete(ctx context.Context, key uint64) error {
 }
 
 func (s *remoteSession) Lookahead(keys []uint64) error {
-	if len(keys) > 0 {
-		s.m.enqueueLookahead(keys)
-	}
+	s.m.look.hint(keys)
 	return nil
 }
 

@@ -74,9 +74,12 @@ func (st *Store) maybeRecover() error {
 
 // recover scans records [1, tail) in address order and re-establishes the
 // index so that each hash chain's head is its newest record, exactly as it
-// was at checkpoint time. The in-memory log restarts on a fresh page past
-// the durable region: recovered records are all disk-resident and will be
-// copied forward on first touch.
+// was at checkpoint time. Superseded versions are indexed too, and a later
+// address overwrites them: their replaced bit can reach disk while the
+// replacement sits past the checkpoint tail, so it is no skip signal. The
+// in-memory log restarts on a fresh page past the durable region:
+// recovered records are all disk-resident and will be copied forward on
+// first touch.
 func (st *Store) recover(tail uint64) error {
 	rec := make([]byte, st.log.recSize)
 	for addr := uint64(1); addr < tail; addr++ {
@@ -86,12 +89,14 @@ func (st *Store) recover(tail uint64) error {
 		key := binary.LittleEndian.Uint64(rec[8:])
 		hdr := binary.LittleEndian.Uint64(rec)
 		if hdr == 0 && key == 0 && binary.LittleEndian.Uint64(rec[16:]) == 0 && allZero(rec[24:]) {
-			// Unallocated slot: the gap between a previous checkpoint's tail
-			// and the page boundary allocation resumed at. A genuine first
-			// record of key 0 also has hdr 0 and no predecessor, so only an
-			// entirely zero record (value included) is treated as a gap —
-			// the one casualty is an all-zero embedding for key 0, which
-			// recovers as absent-and-reinitialized-to-zeros.
+			// Unallocated or abandoned slot: the gap between a previous
+			// checkpoint's tail and the page boundary allocation resumed
+			// at, or an append that lost its index CAS and was zeroed
+			// (appendRecordHdr). A genuine first record of key 0 also has
+			// hdr 0 and no predecessor, so only an entirely zero record
+			// (value included) is treated as a gap — the one casualty is an
+			// all-zero embedding for key 0, which recovers as
+			// absent-and-reinitialized-to-zeros.
 			continue
 		}
 		hash := hashOfKey(key)

@@ -872,7 +872,15 @@ func (s *Session) appendRecordHdr(key uint64, hdr uint64, val []byte, hit *chain
 		}
 		return true, nil
 	}
-	// Lost the race: abandon the allocated record (it is unreachable).
+	// Lost the race: abandon the allocated record. It is unreachable, but
+	// it sits in the log at a higher address than the version that won,
+	// so zero it: recovery skips an all-zero slot as a gap. The caller
+	// still holds the protection it wrote the record under, so the zeroes
+	// land before the flusher can copy the page.
+	f.hdrs[slot].Store(0)
+	f.keys[slot] = 0
+	f.prevs[slot] = 0
+	clearBytes(f.vals[slot*vs : (slot+1)*vs])
 	st.stats.AbandonedAppends.Add(1)
 	return false, nil
 }

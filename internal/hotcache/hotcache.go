@@ -9,8 +9,8 @@
 // bound spells out.
 //
 // The tier is generic over the element type so the same structure serves
-// float32 embeddings (core.Table, the remote driver) and raw value bytes
-// (the kv wrapper the server uses). Entries recycle in place once a shard
+// float32 embeddings (the remote driver's client-side tier) and raw value
+// bytes (kv.WrapCached, the tier the server and local models use). Entries recycle in place once a shard
 // reaches capacity, so the steady-state hot path — hit, refresh, or
 // eviction-reusing fill — performs no allocation.
 package hotcache

@@ -60,6 +60,24 @@ type fasterStore struct {
 	stores []*faster.Store
 }
 
+// NewSession returns a router session that is also an RMWSession: every
+// shard is a hybrid log with a native atomic RMW.
+func (w fasterStore) NewSession() (Session, error) {
+	s, err := w.shardStore.NewSession()
+	if err != nil {
+		return nil, err
+	}
+	return fasterSession{s.(*shardSession)}, nil
+}
+
+// fasterSession is the router session over hybrid-log shards.
+type fasterSession struct{ *shardSession }
+
+// RMW implements RMWSession on the key's shard.
+func (se fasterSession) RMW(key uint64, fn func(cur []byte, exists bool)) error {
+	return se.route(key).(*faster.Session).RMW(key, fn)
+}
+
 // StalenessBound reports the bound all shards share.
 func (w fasterStore) StalenessBound() int64 { return w.stores[0].StalenessBound() }
 

@@ -24,7 +24,8 @@ type CacheStatsReporter interface {
 // tier first and serve a hit only when the entry is admissible under the
 // store's current staleness bound (see hotcache.Admissible); for engines
 // without a bound the tier is coherent as long as every writer goes
-// through this wrapper.
+// through this wrapper. RMW forwards to the engine and invalidates the
+// key's entry.
 //
 // Peek and Prefetch/Lookahead bypass the tier: evaluation reads stay
 // exact and prefetch targets the engine's own memory.
@@ -109,6 +110,7 @@ type cachedSession struct {
 	fetchKeys  []uint64
 	fetchVals  []byte
 	fetchFound []bool
+	rmwBuf     []byte // SessionRMW's fallback staging, grown on first use
 }
 
 func (s *cachedSession) Close()                            { s.inner.Close() }
@@ -156,6 +158,21 @@ func (s *cachedSession) Put(key uint64, val []byte) error {
 		return err
 	}
 	s.w.cache.Put(key, val, s.w.clock.Add(1))
+	return nil
+}
+
+// RMW implements RMWSession: the engine's update (native where it has
+// one, see SessionRMW), then an invalidation, since the new value
+// materialized inside storage.
+func (s *cachedSession) RMW(key uint64, fn func(cur []byte, exists bool)) error {
+	if cap(s.rmwBuf) < s.vs {
+		s.rmwBuf = make([]byte, s.vs)
+	}
+	if err := SessionRMW(s.inner, key, s.rmwBuf[:s.vs], fn); err != nil {
+		return err
+	}
+	s.w.clock.Add(1)
+	s.w.cache.Invalidate(key)
 	return nil
 }
 

@@ -260,19 +260,6 @@ func checkEngineMeta(dir, engine string) error {
 	return nil
 }
 
-// CheckEngineDir pins dir to the named engine: it creates the directory
-// if needed, records the engine on first use, and fails if the directory
-// already belongs to a different engine. OpenEngine does this itself;
-// the export is for callers that open the hybrid log through core.Table
-// instead and still want the cross-engine reopen guard.
-func CheckEngineDir(dir, engine string) error {
-	eng, err := NormalizeEngine(engine)
-	if err != nil {
-		return err
-	}
-	return checkEngineMeta(dir, eng)
-}
-
 // OpenEngine opens a store of the named engine under cfg — the one place
 // every CLI, server, and driver derives an engine store from a total
 // budget, mirroring OpenFasterShards' split policy:

@@ -7,7 +7,7 @@ import (
 	"slices"
 	"testing"
 
-	"github.com/llm-db/mlkv-go/internal/core"
+	"github.com/llm-db/mlkv-go/internal/faster"
 	"github.com/llm-db/mlkv-go/internal/util"
 )
 
@@ -100,7 +100,8 @@ func TestEngineBatchFanOutBounded(t *testing.T) {
 // the registry and WrapCached branch on them: the hybrid log is Bounded
 // and never a BatchCallReporter, a clock-free store is the reverse — the
 // registry rejects a blocking bound on a store that is not Bounded — and
-// every session is natively batched, peekable and ctx-aware.
+// every session is natively batched, peekable and ctx-aware; only a
+// hybrid-log session has a native RMW.
 func TestOptionalInterfaceSets(t *testing.T) {
 	storeIfaces := map[string]reflect.Type{
 		"Checkpointer":       reflect.TypeFor[Checkpointer](),
@@ -116,6 +117,7 @@ func TestOptionalInterfaceSets(t *testing.T) {
 		"LookaheadSession": reflect.TypeFor[LookaheadSession](),
 		"CtxSession":       reflect.TypeFor[CtxSession](),
 		"CtxBatchSession":  reflect.TypeFor[CtxBatchSession](),
+		"RMWSession":       reflect.TypeFor[RMWSession](),
 	}
 	implemented := func(v any, set map[string]reflect.Type) []string {
 		var out []string
@@ -127,7 +129,12 @@ func TestOptionalInterfaceSets(t *testing.T) {
 		slices.Sort(out)
 		return out
 	}
-	wantSession := []string{"BatchSession", "CtxBatchSession", "CtxSession", "PeekSession"}
+	// Only the hybrid log has an atomic storage-side RMW.
+	wantSession := map[string][]string{
+		EngineFaster: {"BatchSession", "CtxBatchSession", "CtxSession", "PeekSession", "RMWSession"},
+		EngineLSM:    {"BatchSession", "CtxBatchSession", "CtxSession", "PeekSession"},
+		EngineBPTree: {"BatchSession", "CtxBatchSession", "CtxSession", "PeekSession"},
+	}
 	wantStore := map[string][]string{
 		EngineFaster: {"Bounded", "Checkpointer", "Sharded", "StatsReporter"},
 		EngineLSM:    {"BatchCallReporter", "Checkpointer", "Sharded", "StatsReporter"},
@@ -145,8 +152,8 @@ func TestOptionalInterfaceSets(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer s.Close()
-				if got := implemented(s, sessionIfaces); !slices.Equal(got, wantSession) {
-					t.Errorf("session implements %v, want %v", got, wantSession)
+				if got := implemented(s, sessionIfaces); !slices.Equal(got, wantSession[engine]) {
+					t.Errorf("session implements %v, want %v", got, wantSession[engine])
 				}
 			})
 		}
@@ -155,8 +162,8 @@ func TestOptionalInterfaceSets(t *testing.T) {
 
 // TestShardBudgetSplit pins the one budget split: with fewer expected keys
 // than shards each shard's index is still sized from ExpectedKeys (one key
-// per shard) exactly as core.OpenTable sizes it, not from the hybrid log's
-// 64Ki-bucket default for an unsized index.
+// per shard), not from the hybrid log's 64Ki-bucket default for an
+// unsized index.
 func TestShardBudgetSplit(t *testing.T) {
 	const shards, keys = 4, 2
 	st, err := OpenFasterShards(ShardedConfig{
@@ -166,20 +173,18 @@ func TestShardBudgetSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	tbl, err := core.OpenTable(core.Options{
-		Dir: t.TempDir(), Dim: 4, Shards: shards, ExpectedKeys: keys, PrefetchWorkers: 1,
-	})
+	one, err := faster.Open(faster.Config{Dir: t.TempDir(), ValueSize: 16, ExpectedKeys: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tbl.Close()
-	want := tbl.Stores()[0].IndexBuckets()
+	defer one.Close()
+	want := one.IndexBuckets()
 	if want >= 1<<16 {
-		t.Fatalf("core sized a %d-key shard's index at %d buckets", keys/shards, want)
+		t.Fatalf("a one-key store's index has %d buckets", want)
 	}
 	for i, sh := range st.(fasterStore).stores {
 		if got := sh.IndexBuckets(); got != want {
-			t.Errorf("shard %d index has %d buckets, want %d as core sizes it", i, got, want)
+			t.Errorf("shard %d index has %d buckets, want %d (sized for one key)", i, got, want)
 		}
 	}
 }

@@ -112,6 +112,16 @@ type CtxBatchSession interface {
 	GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error
 }
 
+// RMWSession is an optional Session extension for engines with an atomic
+// storage-side read-modify-write (the hybrid log): fn runs on the key's
+// current value, zeroed with exists=false when the key is absent, and no
+// other writer of the key interleaves. Callers should go through
+// SessionRMW, which falls back to get+fn+put on other sessions.
+type RMWSession interface {
+	Session
+	RMW(key uint64, fn func(cur []byte, exists bool)) error
+}
+
 // Bounded is an optional Store extension for engines with MLKV's
 // bounded-staleness clock: the serving layer reports the bound in OPEN
 // responses and applies a client-requested bound at open time.
@@ -159,6 +169,25 @@ func SessionGetCtx(ctx context.Context, s Session, key uint64, dst []byte) (bool
 		return cs.GetCtx(ctx, key, dst)
 	}
 	return s.Get(key, dst)
+}
+
+// SessionRMW applies fn to key's value as one atomic storage-side update
+// when s is an RMWSession. Any other session falls back to a Get into buf
+// (len ValueSize), fn, and a Put of buf — not atomic against concurrent
+// writers of the key, which is all an engine without a native RMW offers.
+func SessionRMW(s Session, key uint64, buf []byte, fn func(cur []byte, exists bool)) error {
+	if rs, ok := s.(RMWSession); ok {
+		return rs.RMW(key, fn)
+	}
+	found, err := s.Get(key, buf)
+	if err != nil {
+		return err
+	}
+	if !found {
+		clear(buf)
+	}
+	fn(buf, found)
+	return s.Put(key, buf)
 }
 
 // SessionGetBatch reads len(keys) values into vals (len(keys)×valueSize)

@@ -97,8 +97,7 @@ type engineSession interface {
 }
 
 // shardStore is the one shard router: it hash-partitions the key space
-// across shard engines by util.ShardOf, the placement core.Table uses
-// too. A single shard is the same router with every batch passed
+// across shard engines by util.ShardOf. A single shard is the same router with every batch passed
 // straight through, so 1-vs-N comparisons measure sharding alone, not
 // adapter overhead. It carries the Store surface every engine shares
 // (Checkpointer, StatsReporter, Sharded); fasterStore and clockFreeStore
@@ -200,8 +199,7 @@ func (se *shardSession) GetBatch(keys []uint64, vals []byte, found []bool) error
 // caller's deadline. Under a blocking bound (BSP or finite SSP) clocked
 // reads are token acquisitions that must keep the caller's key order, or
 // two sessions' parallel per-shard groups could each hold a token the
-// other is blocked on, so the batch then runs serially in caller order —
-// exactly what core.Session.GetBatch does for the same reason.
+// other is blocked on, so the batch then runs serially in caller order.
 func (se *shardSession) GetBatchCtx(ctx context.Context, keys []uint64, vals []byte, found []bool) error {
 	if len(se.ss) == 1 {
 		return se.ss[0].GetBatch(ctx, keys, nil, vals, found)

@@ -90,7 +90,11 @@ func writeTable(path string, num uint64, recs []tableRec, vs int) (*sstable, err
 	binary.LittleEndian.PutUint64(footer[24:], uint64(vs))
 	binary.LittleEndian.PutUint64(footer[32:], tableMagic)
 	buf = append(buf, footer...)
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
+	// Durable before it is named: the MANIFEST that lists this table is
+	// written (and the WAL it replaces retired) only after this returns,
+	// so a crash can never leave the MANIFEST naming a table that did not
+	// reach disk.
+	if err := util.AtomicWriteFile(path, buf, 0o644); err != nil {
 		return nil, fmt.Errorf("lsm: write table: %w", err)
 	}
 	return openTable(path, num, vs)

@@ -6,8 +6,8 @@ import (
 )
 
 // ModelBackend adapts a public mlkv.Model to the trainer seam — the same
-// backend for an in-process table and a remote mlkv-server, because the
-// public API hides the target behind its driver. A worker's per-step
+// backend for an in-process model on any engine and a remote mlkv-server,
+// because the public API hides the target behind its driver. A worker's per-step
 // gather and scatter travel as one GetBatch and one PutBatch (one framed
 // round trip each on a remote model), Lookahead hints are asynchronous on
 // both targets, and evaluation reads are clock-free Peeks.
@@ -23,7 +23,8 @@ func NewModelBackend(m *mlkv.Model, useLookahead bool) *ModelBackend {
 	return &ModelBackend{M: m, UseLookahead: useLookahead}
 }
 
-// Name identifies the engine ("mlkv", "faster", or "remote(<engine>)").
+// Name identifies the engine ("mlkv", "faster", "lsm", "bptree", or
+// "remote(<engine>)").
 func (b *ModelBackend) Name() string { return b.M.EngineName() }
 
 // Dim returns the embedding dimension.

@@ -4,10 +4,9 @@ import (
 	"testing"
 	"time"
 
+	mlkv "github.com/llm-db/mlkv-go"
 	"github.com/llm-db/mlkv-go/internal/core"
 	"github.com/llm-db/mlkv-go/internal/data"
-	"github.com/llm-db/mlkv-go/internal/kv"
-	"github.com/llm-db/mlkv-go/internal/lsm"
 	"github.com/llm-db/mlkv-go/internal/models"
 )
 
@@ -17,16 +16,20 @@ func memBackend(dim int) Backend {
 
 func mlkvBackend(t *testing.T, dim int, bound int64) Backend {
 	t.Helper()
-	tbl, err := core.OpenTable(core.Options{
-		Dir: t.TempDir(), Dim: dim, StalenessBound: bound,
-		MemoryBytes: 1 << 20, RecordsPerPage: 64,
-		Init: core.UniformInit(0.05, 1),
-	})
+	return localBackend(t, dim, bound, "mlkv", core.UniformInit(0.05, 1))
+}
+
+// localBackend opens a fresh local model of the named engine through the
+// public API, with lookahead on whenever the vector clock runs.
+func localBackend(t *testing.T, dim int, bound int64, engine string, init core.Initializer) Backend {
+	t.Helper()
+	m, err := mlkv.Open("model", dim, mlkv.WithDir(t.TempDir()), mlkv.WithEngine(engine),
+		mlkv.WithStalenessBound(bound), mlkv.WithMemory(1<<20), mlkv.WithInitializer(init))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { tbl.Close() })
-	return NewTableBackend(tbl, bound >= 0)
+	t.Cleanup(func() { m.Close() })
+	return NewModelBackend(m, bound >= 0)
 }
 
 func TestTrainCTRInMemoryImprovesAUC(t *testing.T) {
@@ -189,16 +192,11 @@ func TestTrainGATRuns(t *testing.T) {
 }
 
 func TestTrainCTROnLSMBackend(t *testing.T) {
-	s, err := lsm.Open(lsm.Config{Dir: t.TempDir(), ValueSize: 16, MemtableBytes: 64 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
 	gen := data.NewCTRGen(data.CTRConfig{Fields: 3, DenseDim: 2, FieldCard: 200, Seed: 47})
 	model := models.NewDLRM(models.FFNN, 3, 4, 2, []int{8}, 53)
 	res, err := TrainCTR(CTROptions{
 		Gen: gen, Model: model,
-		Backend: NewKVBackend(kv.WrapLSM(s), 4, core.UniformInit(0.05, 1)),
+		Backend: localBackend(t, 4, mlkv.Disabled, "lsm", core.UniformInit(0.05, 1)),
 		Workers: 2, Batch: 8, Mode: ModeAsync,
 		DenseLR: 0.05, EmbLR: 0.05,
 		MaxSamples: 2000,

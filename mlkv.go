@@ -246,8 +246,9 @@ func WithInitScale(s float32) Option { return func(c *config) { c.initScale = s 
 // WithInitScale. It must be deterministic in key (see Initializer).
 func WithInitializer(fn Initializer) Option { return func(c *config) { c.init = fn } }
 
-// WithPrefetchWorkers sizes the Lookahead worker pool of a local model
-// (default 2).
+// WithPrefetchWorkers sizes the model's Lookahead worker pool (default
+// 2): each worker holds its own session and moves hinted keys toward
+// memory, locally through the store, remotely as LOOKAHEAD frames.
 func WithPrefetchWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithCache attaches a staleness-aware hot tier holding up to entries
@@ -320,6 +321,9 @@ func (db *DB) OpenCtx(ctx context.Context, id string, dim int, opts ...Option) (
 	}
 	for _, o := range opts {
 		o(&cfg)
+	}
+	if cfg.shards < 0 {
+		return nil, errors.New("mlkv: shard count must be non-negative")
 	}
 	dcfg := driver.Config{
 		Dim:             dim,
@@ -424,7 +428,7 @@ type Stats struct {
 	InPlaceUpdates int64
 	RCUAppends     int64
 	// Look-ahead activity: records copied into the memory buffer and
-	// hints dropped on a full queue.
+	// hinted keys dropped on a full queue.
 	PrefetchCopies  int64
 	PrefetchDropped int64
 	// Batch amortization: GetBatch/PutBatch calls (each may cover
@@ -471,8 +475,8 @@ type Stats struct {
 	// pool waiting out a dead host, not hammering it.
 	DialRetries  int64
 	DialBackoffs int64
-	// Per-op-class latency, always on. A local model times the table's
-	// store operations; a remote model times this process's network round
+	// Per-op-class latency, always on. A local model times its session
+	// operations; a remote model times this process's network round
 	// trips (per connection pool, so every model opened from the same
 	// Connect shares the summaries), which includes queueing in the
 	// pipelined client — the tail your callers actually see. LatRMW is
@@ -535,9 +539,9 @@ func (m *Model) StatsCtx(ctx context.Context) (Stats, error) {
 		LookaheadCalls: s.LookaheadCalls,
 		CacheHits:      s.CacheHits, CacheMisses: s.CacheMisses,
 		CacheEvictions: s.CacheEvictions,
-		FlushedPages: s.FlushedPages, BytesFlushed: s.BytesFlushed,
+		FlushedPages:   s.FlushedPages, BytesFlushed: s.BytesFlushed,
 		GroupCommits: s.GroupCommits, FlushPaceStalls: s.FlushPaceStalls,
-		HedgedReads:  s.HedgedReads, HedgeWins: s.HedgeWins,
+		HedgedReads: s.HedgedReads, HedgeWins: s.HedgeWins,
 		HedgeWasted: s.HedgeWasted, HedgeSuppressed: s.HedgeSuppressed,
 		ClusterNodes: s.ClusterNodes, ClusterEpoch: s.ClusterEpoch,
 		ClusterRedirects: s.ClusterRedirects, ReplicaReads: s.ReplicaReads,
@@ -678,8 +682,9 @@ func (s *Session) DeleteCtx(ctx context.Context, key uint64) error {
 // Lookahead asynchronously copies the given keys' embeddings from disk into
 // MLKV's mutable memory buffer ahead of use (§III-C2). Unlike conventional
 // prefetching it is not limited by the staleness bound. It never blocks:
-// on a remote model the hint travels on a background session, and hints
-// beyond the queue capacity are dropped (and counted in Stats).
+// the hint is queued for the model's lookahead workers (see
+// WithPrefetchWorkers), and a hint beyond the queue capacity is dropped
+// (its keys counted in Stats.PrefetchDropped).
 func (s *Session) Lookahead(keys []uint64) error {
 	return s.s.Lookahead(keys)
 }

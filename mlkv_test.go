@@ -229,3 +229,57 @@ func TestShardedModel(t *testing.T) {
 		t.Fatalf("merged stats empty: %+v", st)
 	}
 }
+
+// TestRMWAtomicOnHybridLog pins that RMW on a local hybrid-log model is
+// one atomic storage-side update, with and without a hot tier in front:
+// N sessions each applying M unit steps to one key lower every element by
+// exactly N·M — a lost update would leave it higher.
+func TestRMWAtomicOnHybridLog(t *testing.T) {
+	const sessions, steps = 8, 500
+	for _, cache := range []int{0, 64} {
+		t.Run(fmt.Sprintf("cache=%d", cache), func(t *testing.T) {
+			m := openModel(t, mlkv.WithInitScale(0), mlkv.WithCache(cache))
+			if m.EngineName() != "mlkv" || m.StalenessBound() != 4 {
+				t.Fatalf("default local model is %s at bound %d, want mlkv at SSP(4)", m.EngineName(), m.StalenessBound())
+			}
+			grad := []float32{1, 1, 1, 1, 1, 1, 1, 1}
+			var wg sync.WaitGroup
+			for w := 0; w < sessions; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					s, err := m.NewSession()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer s.Close()
+					for i := 0; i < steps; i++ {
+						if err := s.RMW(7, grad, 1); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			s, err := m.NewSession()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			got := make([]float32, 8)
+			if found, err := s.Peek(7, got); err != nil || !found {
+				t.Fatalf("peek: found=%v err=%v", found, err)
+			}
+			for i, v := range got {
+				if v != -sessions*steps {
+					t.Fatalf("dim %d = %v after %d×%d unit RMWs, want %d", i, v, sessions, steps, -sessions*steps)
+				}
+			}
+			if st := m.Stats(); st.RMWs != sessions*steps || st.LatRMW.Count != sessions*steps {
+				t.Fatalf("stats count %d RMWs (%d timed), want %d", st.RMWs, st.LatRMW.Count, sessions*steps)
+			}
+		})
+	}
+}
